@@ -41,7 +41,6 @@ from .model import (
     TrainConfig,
     cov_to_params,
     load_model,
-    loss_combined,
     loss_huber,
     loss_kl,
     params_to_cov,

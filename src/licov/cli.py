@@ -132,7 +132,8 @@ def cmd_eval(cfg: RunConfig, threads: int) -> int:
     seq = cfg.sequence()
     records, samples = _dataset_samples(cfg, seq)
     trained, _ = model_mod.load_model(cfg.get("paths", "model"))
-    predictions = [model_mod.predict(trained, scan) for _, scan in samples]
+    normal_k = cfg.get("map", "normal_k")
+    predictions = [model_mod.predict(trained, scan, normal_k) for _, scan in samples]
     labels = [rec.covariance for rec in records]
     report = metrics.evaluate(predictions, labels)
     out = cfg.get("paths", "report")

@@ -189,21 +189,6 @@ class NeighborIndex:
     def __len__(self):
         return len(self.cloud)
 
-    def nearest(self, query):
-        """Single query -> (point_id, distance); ties go to the lowest id."""
-        if self._tree is None:
-            raise EmptyIndex("nearest-neighbor query against an empty index")
-        q = np.asarray(query, dtype=float).reshape(3)
-        dist, idx = self._tree.query(q)
-        candidates = self._tree.query_ball_point(q, dist)
-        if len(candidates) > 1:
-            cand = np.sort(np.asarray(candidates))
-            d = np.linalg.norm(self.cloud.points[cand] - q, axis=1)
-            best = d.min()
-            idx = int(cand[d == best].min())
-            dist = float(best)
-        return int(idx), float(dist)
-
     def query_batch(self, queries, workers: int = 1):
         """Vectorized queries -> (distances, ids). No tie canonicalization."""
         if self._tree is None:

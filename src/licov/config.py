@@ -7,10 +7,11 @@ every artifact a command writes.
 from __future__ import annotations
 
 import configparser
+from dataclasses import fields
 
 from .cloud import MapWindow
 from .errors import ConfigError
-from .fusion import FusionSetup
+from .fusion import MODES, FusionSetup
 from .icp import IcpConfig
 from .mcgen import PerturbationSpec
 from .model import TrainConfig
@@ -38,6 +39,16 @@ def _opt(kind):
     return parse
 
 
+# Settings that mirror a typed config take their parser from the field's
+# annotation (a string under postponed evaluation) and their default from
+# the field itself; an annotation without a parser fails at import.
+_FIELD_PARSERS = {"float": float, "int": int, "bool": _parse_bool}
+
+
+def _section(cls):
+    return {f.name: (_FIELD_PARSERS[f.type], f.default) for f in fields(cls)}
+
+
 # section -> key -> (parser, default)
 SCHEMA = {
     "sequence": {
@@ -52,52 +63,27 @@ SCHEMA = {
         "pose_file": (str, ""),
     },
     "map": {
-        "window_before": (int, 20),
-        "window_after": (int, 10),
-        "map_voxel": (float, 1.0),
-        "scan_voxel": (float, 0.1),
-        "normal_k": (int, 10),
+        "window_before": (int, MapWindow.before),
+        "window_after": (int, MapWindow.after),
+        "map_voxel": (float, FusionSetup.map_voxel),
+        "scan_voxel": (float, FusionSetup.scan_voxel),
+        "normal_k": (int, FusionSetup.normal_k),
     },
-    "perturbation": {
-        "sigma_x": (float, 1.0),
-        "sigma_y": (float, 1.0),
-        "sigma_z": (float, 1.0),
-        "sigma_phi": (float, 5.0),
-        "sigma_theta": (float, 5.0),
-        "sigma_psi": (float, 5.0),
-    },
-    "icp": {
-        "max_iterations": (int, 30),
-        "translation_eps": (float, 1e-4),
-        "rotation_eps": (float, 1e-4),
-        "max_correspondence_distance": (float, 2.0),
-    },
+    "perturbation": _section(PerturbationSpec),
+    "icp": _section(IcpConfig),
     "montecarlo": {
         "n": (int, 200),
         "seed": (int, 0),
         "frames": (str, "all"),
     },
-    "train": {
-        "alpha": (float, 0.1),
-        "beta": (float, 0.9),
-        "huber_delta": (float, 1e-3),
-        "learning_rate": (float, 0.03),
-        "steps": (int, 500),
-        "batch_size": (int, 8),
-        "seed": (int, 0),
-        "augment": (_parse_bool, True),
-        "augment_xy": (float, 2.0),
-        "augment_yaw_deg": (float, 180.0),
-        "init_sigma": (float, 0.1),
-        "label_floor": (float, 0.0),
-    },
+    "train": _section(TrainConfig),
     "fusion": {
         "frames": (str, "all"),
         "seed": (int, 0),
-        "motion_sigma_xyz": (float, 0.05),
-        "motion_sigma_rot_deg": (float, 0.2),
-        "init_cov": (float, 1e-6),
-        "modes": (str, "icp_only fixed_cov predicted_cov"),
+        "motion_sigma_xyz": (float, FusionSetup.motion_sigma_xyz),
+        "motion_sigma_rot_deg": (float, FusionSetup.motion_sigma_rot_deg),
+        "init_cov": (float, FusionSetup.init_cov),
+        "modes": (str, " ".join(MODES)),
     },
     "paths": {
         "dataset": (str, "dataset.csv"),
@@ -165,8 +151,7 @@ class RunConfig:
     # typed views -----------------------------------------------------
 
     def perturbation_spec(self) -> PerturbationSpec:
-        p = self._values["perturbation"]
-        return PerturbationSpec(**p)
+        return PerturbationSpec(**self._values["perturbation"])
 
     def icp_config(self) -> IcpConfig:
         return IcpConfig(**self._values["icp"])

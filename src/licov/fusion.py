@@ -192,7 +192,7 @@ def run_fusion(
         if mode == "icp_only":
             state = FusionState(result.estimate, state.covariance)
         else:
-            R = fixed_cov if mode == "fixed_cov" else predict(model, scan)
+            R = fixed_cov if mode == "fixed_cov" else predict(model, scan, setup.normal_k)
             state = ekf_update(state, result.estimate, R)
         ids.append(k)
         out.append(state.pose)

@@ -13,7 +13,7 @@ floats with 17 significant digits. Lines starting with '#' are warnings.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -62,10 +62,10 @@ class PerturbationSpec:
     sigma_psi: float = 5.0
 
     def __post_init__(self):
-        for name in ("sigma_x", "sigma_y", "sigma_z", "sigma_phi", "sigma_theta", "sigma_psi"):
-            v = getattr(self, name)
+        for f in fields(self):
+            v = getattr(self, f.name)
             if not np.isfinite(v) or v < 0:
-                raise ValueError(f"{name} must be finite and non-negative")
+                raise ValueError(f"{f.name} must be finite and non-negative")
 
     def sigmas(self) -> np.ndarray:
         """Sampling scales as a 6-vector (m, m, m, rad, rad, rad)."""
@@ -182,10 +182,10 @@ def write_dataset(path, metadata: dict, records, skipped=()):
         for frame_id, reason in skipped:
             f.write(f"# frame {frame_id} skipped: {reason}\n")
         for r in records:
-            fields = [str(r.frame_id), str(r.n), str(r.diverged_count)]
-            fields += [_fmt(v) for v in pack_upper(r.covariance)]
-            fields += [_fmt(v) for v in r.mean_twist]
-            f.write(",".join(fields) + "\n")
+            row = [str(r.frame_id), str(r.n), str(r.diverged_count)]
+            row += [_fmt(v) for v in pack_upper(r.covariance)]
+            row += [_fmt(v) for v in r.mean_twist]
+            f.write(",".join(row) + "\n")
 
 
 def read_dataset(path):
@@ -208,17 +208,17 @@ def read_dataset(path):
     for ln in lines[2:]:
         if not ln or ln.startswith("#"):
             continue
-        fields = ln.split(",")
-        if len(fields) != 30:
-            raise DataError(f"{path}: record has {len(fields)} fields, expected 30")
+        row = ln.split(",")
+        if len(row) != 30:
+            raise DataError(f"{path}: record has {len(row)} fields, expected 30")
         records.append(
             CovRecord(
-                frame_id=int(fields[0]),
-                n=int(fields[1]),
-                covariance=unpack_upper([float(x) for x in fields[3:24]]),
+                frame_id=int(row[0]),
+                n=int(row[1]),
+                covariance=unpack_upper([float(x) for x in row[3:24]]),
                 seed=int(metadata.get("seed", 0)),
-                diverged_count=int(fields[2]),
-                mean_twist=np.array([float(x) for x in fields[24:30]]),
+                diverged_count=int(row[2]),
+                mean_twist=np.array([float(x) for x in row[24:30]]),
             )
         )
     if not records:
@@ -234,25 +234,19 @@ class GenerateSummary:
 
 
 def dataset_metadata(spec, n, window, map_voxel, scan_voxel, normal_k, config, seed, extra=None):
-    md = {
-        "sigma_x": _fmt(spec.sigma_x),
-        "sigma_y": _fmt(spec.sigma_y),
-        "sigma_z": _fmt(spec.sigma_z),
-        "sigma_phi": _fmt(spec.sigma_phi),
-        "sigma_theta": _fmt(spec.sigma_theta),
-        "sigma_psi": _fmt(spec.sigma_psi),
-        "n": str(n),
-        "window_before": str(window.before),
-        "window_after": str(window.after),
-        "map_voxel": _fmt(map_voxel),
-        "scan_voxel": _fmt(scan_voxel),
-        "normal_k": str(normal_k),
-        "icp_max_iterations": str(config.max_iterations),
-        "icp_translation_eps": _fmt(config.translation_eps),
-        "icp_rotation_eps": _fmt(config.rotation_eps),
-        "icp_max_correspondence_distance": _fmt(config.max_correspondence_distance),
-        "seed": str(seed),
-    }
+    def text(obj, f):
+        v = getattr(obj, f.name)
+        return str(v) if f.type == "int" else _fmt(v)
+
+    md = {f.name: text(spec, f) for f in fields(spec)}
+    md["n"] = str(n)
+    md["window_before"] = str(window.before)
+    md["window_after"] = str(window.after)
+    md["map_voxel"] = _fmt(map_voxel)
+    md["scan_voxel"] = _fmt(scan_voxel)
+    md["normal_k"] = str(normal_k)
+    md.update((f"icp_{f.name}", text(config, f)) for f in fields(config))
+    md["seed"] = str(seed)
     if extra:
         for k, v in extra.items():
             md.setdefault(k, v)
@@ -277,35 +271,47 @@ def generate_dataset(
 ) -> GenerateSummary:
     """Label the requested frames and write the dataset file.
 
-    Frames are processed independently (optionally in a thread pool) and
+    Frames are processed independently in a pool of `threads` workers and
     written in ascending frame order, so output bytes do not depend on
     thread count. Frames whose samples nearly all diverge are skipped
-    with a '#' warning line instead of aborting the run.
+    with a '#' warning line instead of aborting the run. Any other error,
+    or an interrupt, cancels the frames not yet started and is re-raised.
     """
     frames = sorted(set(int(f) for f in frames))
+    # Frames that raised. A frame after one of them is not started: the
+    # in-order loop below re-raises at the earliest and never reads it.
+    failed = []
 
     def job(frame_id):
-        local_map = build_local_map(
-            sequence.scans, sequence.poses, frame_id, window, map_voxel, normal_k
-        )
-        scan = voxel_downsample(sequence.scan(frame_id), scan_voxel)
-        return run_monte_carlo(
-            scan,
-            local_map,
-            sequence.pose(frame_id),
-            spec,
-            n,
-            config,
-            seed=seed,
-            frame_id=frame_id,
-            workers=1,
-        )
+        if failed and frame_id > min(failed):
+            return None
+        try:
+            local_map = build_local_map(
+                sequence.scans, sequence.poses, frame_id, window, map_voxel, normal_k
+            )
+            scan = voxel_downsample(sequence.scan(frame_id), scan_voxel)
+            return run_monte_carlo(
+                scan,
+                local_map,
+                sequence.pose(frame_id),
+                spec,
+                n,
+                config,
+                seed=seed,
+                frame_id=frame_id,
+                workers=1,
+            )
+        except TooFewValidSamples:
+            raise
+        except Exception:
+            failed.append(frame_id)
+            raise
 
     results = {}
     skipped = []
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {f: pool.submit(job, f) for f in frames}
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        futures = {f: pool.submit(job, f) for f in frames}
+        try:
             for f in frames:
                 try:
                     results[f] = futures[f].result()
@@ -313,14 +319,10 @@ def generate_dataset(
                     skipped.append((f, str(e)))
                 if progress:
                     progress(f, results.get(f))
-    else:
-        for f in frames:
-            try:
-                results[f] = job(f)
-            except TooFewValidSamples as e:
-                skipped.append((f, str(e)))
-            if progress:
-                progress(f, results.get(f))
+        except BaseException:
+            failed.append(-np.inf)
+            pool.shutdown(cancel_futures=True)
+            raise
 
     records = [results[f] for f in frames if f in results]
     metadata = dataset_metadata(

@@ -138,12 +138,6 @@ def loss_huber(y_hat, y_bar, delta: float = 1e-3) -> float:
     return float(_huber_scalar(d, delta).sum())
 
 
-def loss_combined(y_hat, y_bar, alpha: float = 0.1, beta: float = 0.9,
-                  delta: float = 1e-3) -> float:
-    """alpha * KL(regularized label) + beta * Huber(raw label)."""
-    return alpha * loss_kl(y_hat, y_bar) + beta * loss_huber(y_hat, y_bar, delta)
-
-
 def _combined_grad_y(y_hat, y_bar, alpha, beta, delta):
     """Loss value and its gradient with respect to the full matrix y_hat."""
     y_bar_reg = regularize_label(y_bar)
@@ -248,9 +242,10 @@ class RegressionModel:
         return self.w2 @ h + self.b2
 
 
-def predict(model: RegressionModel, scan: PointCloud) -> np.ndarray:
-    """Predicted 6x6 alignment-error covariance for one scan."""
-    return params_to_cov(model.forward(extract_features(scan)))
+def predict(model: RegressionModel, scan: PointCloud, normal_k: int = 10) -> np.ndarray:
+    """Predicted 6x6 alignment-error covariance for one scan; normal_k must
+    match the value the model was trained with."""
+    return params_to_cov(model.forward(extract_features(scan, normal_k)))
 
 
 def _weighted_indices(records, batch_size: int, rng) -> np.ndarray:

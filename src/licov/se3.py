@@ -159,16 +159,6 @@ def transport_covariance(t: SE3, cov) -> np.ndarray:
     return 0.5 * (out + out.T)
 
 
-def rot_x(angle) -> np.ndarray:
-    c, s = np.cos(angle), np.sin(angle)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
-
-
-def rot_y(angle) -> np.ndarray:
-    c, s = np.cos(angle), np.sin(angle)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
-
-
 def rot_z(angle) -> np.ndarray:
     c, s = np.cos(angle), np.sin(angle)
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])

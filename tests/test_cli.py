@@ -5,11 +5,13 @@ import shutil
 import numpy as np
 import pytest
 
-from licov import cli
-from licov.cloud import load_kitti_poses, load_kitti_scan
+from licov import cli, metrics
+from licov.cloud import load_kitti_poses, load_kitti_scan, voxel_downsample
+from licov.features import extract_features
 from licov.fusion import read_trajectory
 from licov.mcgen import CovRecord, read_dataset, write_dataset
-from licov.model import load_model
+from licov.model import load_model, params_to_cov, predict
+from licov.scenes import make_synthetic_scene
 
 COMMON = [
     "--set", "sequence.scene=room", "--set", "sequence.density=4",
@@ -258,6 +260,21 @@ class TestTrainEval:
         assert 0.0 <= kl < 0.5
         csv_rows = [l for l in report.splitlines() if l.startswith("sample_count,")]
         assert csv_rows == ["sample_count,mean_kl,mae_x,mae_y,mae_yaw"]
+
+    def test_eval_features_use_map_normal_k(self, ws, monkeypatch):
+        monkeypatch.chdir(ws["root"])
+        assert cli.main(["eval", *COMMON, "--set", "map.normal_k=6",
+                         "--set", "paths.dataset=train_ds.csv", "--set", "paths.model=model.txt",
+                         "--set", "paths.report=report_k6.txt"]) == 0
+        trained, _ = load_model("model.txt")
+        _, recs = read_dataset("train_ds.csv")
+        seq = make_synthetic_scene("room", density=4, n_frames=4, seed=11)
+        scans = [voxel_downsample(seq.scan(r.frame_id), 0.3) for r in recs]
+        preds = [params_to_cov(trained.forward(extract_features(s, 6))) for s in scans]
+        expected = metrics.report_csv(metrics.evaluate(preds, [r.covariance for r in recs]))
+        default_k = [predict(trained, s) for s in scans]
+        assert not np.allclose(preds, default_k, rtol=0, atol=1e-12)
+        assert (ws["root"] / "report_k6.txt").read_text().endswith(expected)
 
 
 class TestFuse:

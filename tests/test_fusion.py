@@ -4,9 +4,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from licov import model as model_mod
 from licov import se3
 from licov.cloud import MapWindow
 from licov.errors import ConfigError, DataError, EmptyTrajectory, FrameMismatch
+from licov.features import extract_features
 from licov.fusion import (
     MODES,
     FusionSetup,
@@ -310,6 +312,20 @@ class TestRunFusion:
         raw = run_fusion(small_room, frames, "icp_only", setup, seed=3)
         assert ade(fused, truth) < 0.05
         assert ade(raw, truth) < 0.05
+
+    def test_predicted_cov_features_use_setup_normal_k(self, small_room, monkeypatch):
+        seen = []
+
+        def spy(cloud, normal_k=10):
+            seen.append(normal_k)
+            return extract_features(cloud, normal_k)
+
+        monkeypatch.setattr(model_mod, "extract_features", spy)
+        frames = list(range(3))
+        setup = FusionSetup(window=MapWindow(1, 1), map_voxel=0.4, scan_voxel=0.3, normal_k=6)
+        run_fusion(small_room, frames, "predicted_cov", setup,
+                   model=constant_model(1e-4 * np.eye(6)), align=truth_oracle(small_room, frames))
+        assert seen == [6, 6]
 
     def test_modes_tuple(self):
         assert MODES == ("icp_only", "fixed_cov", "predicted_cov")

@@ -1,11 +1,13 @@
 """Monte-Carlo covariance labeling and the dataset file format."""
 
+import sys
+import time
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from licov import se3
+from licov import mcgen, se3
 from licov.cloud import MapWindow, PointCloud
 from licov.errors import DataError, EmptyDataset, NoCorrespondences, TooFewValidSamples
 from licov.icp import IcpConfig
@@ -23,6 +25,7 @@ from licov.mcgen import (
     write_dataset,
 )
 from licov.scenes import make_synthetic_scene
+from licov.sequences import InMemorySequence
 
 DUMMY = PointCloud([[0.0, 0.0, 0.0]])
 IDENT = se3.SE3.identity()
@@ -318,11 +321,63 @@ class TestGenerateDataset:
         path = tmp_path / "d.csv"
         summary = self._generate(small_seq, path, threads=1)
         assert [r.frame_id for r in summary.records] == [0, 1, 2, 3]
+        assert path.read_text().splitlines()[1] == (
+            "sigma_x=0.10000000000000001,sigma_y=0.10000000000000001,"
+            "sigma_z=0.10000000000000001,sigma_phi=2,sigma_theta=2,sigma_psi=2,"
+            "n=6,window_before=1,window_after=1,map_voxel=0.40000000000000002,"
+            "scan_voxel=0.29999999999999999,normal_k=10,icp_max_iterations=8,"
+            "icp_translation_eps=0.0001,icp_rotation_eps=0.0001,"
+            "icp_max_correspondence_distance=2,seed=21"
+        )
         metadata, records = read_dataset(path)
         assert metadata["n"] == "6"
-        assert metadata["seed"] == "21"
-        assert metadata["sigma_phi"] == "2"
         assert len(records) == 4
         for r in records:
             vals = np.linalg.eigvalsh(r.covariance)
             assert vals.min() > -1e-12
+
+
+class TestGenerateCancellation:
+    """A failing frame or an interrupt stops the frames not yet started."""
+
+    FRAMES = 12
+
+    def _generate(self, monkeypatch, tmp_path, started, threads=2, fail_frames=(),
+                  progress=None):
+        def fake_monte_carlo(*args, frame_id, **kwargs):
+            started.append(frame_id)
+            if frame_id in fail_frames:
+                raise RuntimeError(f"frame {frame_id} failed")
+            time.sleep(0.2)
+            return CovRecord(frame_id, 2, 1e-4 * np.eye(6), 0, 0, np.zeros(6))
+
+        monkeypatch.setattr(mcgen, "build_local_map", lambda *args: DUMMY)
+        monkeypatch.setattr(mcgen, "run_monte_carlo", fake_monte_carlo)
+        seq = InMemorySequence([DUMMY] * self.FRAMES, [IDENT] * self.FRAMES)
+        generate_dataset(seq, range(self.FRAMES), PerturbationSpec(), 2, IcpConfig(), 0,
+                         tmp_path / "d.csv", threads=threads, progress=progress)
+
+    @pytest.mark.parametrize("threads", [1, 2, 4])
+    def test_frame_error_starts_at_most_threads_frames(self, monkeypatch, tmp_path, threads):
+        # several frames fail at once, with frequent thread switches
+        started = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with pytest.raises(RuntimeError, match="frame 0 failed"):
+                self._generate(monkeypatch, tmp_path, started, threads, fail_frames={0, 1, 2})
+        finally:
+            sys.setswitchinterval(interval)
+        assert 0 in started and len(started) <= threads
+        assert not (tmp_path / "d.csv").exists()
+
+    def test_interrupt_cancels_queued_frames(self, monkeypatch, tmp_path):
+        def progress(frame, record):
+            raise KeyboardInterrupt
+
+        started = []
+        with pytest.raises(KeyboardInterrupt):
+            self._generate(monkeypatch, tmp_path, started, progress=progress)
+        # frames 0 and 1 ran; at most one more per worker was already taken
+        assert len(started) <= 4
+        assert not (tmp_path / "d.csv").exists()

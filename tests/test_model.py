@@ -16,7 +16,6 @@ from licov.model import (
     head_loss_and_grad,
     inv_softplus,
     load_model,
-    loss_combined,
     loss_huber,
     loss_kl,
     params_to_chol,
@@ -177,26 +176,28 @@ class TestHuber:
 
 
 class TestCombined:
+    # The training loss is head_loss_and_grad's value: alpha * KL on the
+    # regularized label plus beta * Huber on the raw label.
     def test_pinned_value(self):
-        val = loss_combined(2.0 * np.eye(6), np.eye(6))
+        val, _ = head_loss_and_grad(cov_to_params(2.0 * np.eye(6)), np.eye(6))
         expected = 0.1 * KL_2I_I + 0.9 * 6.0 * 1e-3 * (1.0 - 0.5e-3)
         assert abs(expected - 0.09745314583201638) < 1e-15
         assert abs(val - expected) < 1e-12
 
     def test_weights_zero_out_terms(self):
         rng = np.random.default_rng(6)
-        y, ref = random_spd(rng), random_spd(rng)
-        assert abs(
-            loss_combined(y, ref, alpha=0.0, beta=1.0) - loss_huber(y, ref)
-        ) < 1e-15
-        assert abs(
-            loss_combined(y, ref, alpha=1.0, beta=0.0) - loss_kl(y, ref)
-        ) < 1e-15
+        raw, ref = rng.normal(size=21), random_spd(rng)
+        y = params_to_cov(raw)
+        hub, _ = head_loss_and_grad(raw, ref, alpha=0.0, beta=1.0)
+        kl, _ = head_loss_and_grad(raw, ref, alpha=1.0, beta=0.0)
+        assert abs(hub - loss_huber(y, ref)) < 1e-15
+        assert abs(kl - loss_kl(y, ref)) < 1e-12
 
     def test_huber_sees_raw_label_kl_sees_regularized(self):
-        y = params_to_cov(np.zeros(21))
+        raw = np.zeros(21)
+        y = params_to_cov(raw)
         singular = np.zeros((6, 6))
-        val = loss_combined(y, singular)
+        val, _ = head_loss_and_grad(raw, singular)
         expected = 0.1 * loss_kl(y, singular) + 0.9 * loss_huber(y, singular)
         assert np.isfinite(val)
         assert abs(val - expected) < 1e-10
@@ -556,7 +557,7 @@ class TestTraining:
         from licov.features import extract_features
 
         y = params_to_cov(model.forward(extract_features(scan)))
-        assert abs(losses[0] - loss_combined(y, cov)) < 1e-12
+        assert abs(losses[0] - (0.1 * loss_kl(y, cov) + 0.9 * loss_huber(y, cov))) < 1e-12
 
 
 class TestModelIO:
