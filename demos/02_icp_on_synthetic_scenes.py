@@ -7,15 +7,14 @@ Run: python3 demos/02_icp_on_synthetic_scenes.py  (about 5 s)
 import numpy as np
 
 from licov import se3
-from licov.cloud import MapWindow, build_local_map, voxel_downsample
+from licov.cloud import MapSetup
 from licov.icp import IcpConfig, icp_point_to_plane
 from licov.mcgen import PerturbationSpec, sample_perturbation
 from licov.scenes import make_synthetic_scene
 
 seq = make_synthetic_scene("room", seed=0)
 k = 5
-local_map = build_local_map(seq.scans, seq.poses, k, MapWindow(1, 1), 0.2, 10)
-scan = voxel_downsample(seq.scan(k), 0.1)
+scan, local_map = MapSetup(1, 1, map_voxel=0.2).frame(seq, k)
 pose = seq.pose(k)
 print(f"frame {k}: scan {len(scan)} points, local map {len(local_map)} points")
 

@@ -8,7 +8,7 @@ Run: python3 demos/03_monte_carlo_labels.py  (about 30 s)
 """
 import numpy as np
 
-from licov.cloud import MapWindow, build_local_map, voxel_downsample
+from licov.cloud import MapSetup
 from licov.icp import IcpConfig
 from licov.mcgen import PerturbationSpec, run_monte_carlo
 from licov.scenes import make_synthetic_scene
@@ -17,9 +17,7 @@ np.set_printoptions(precision=2)
 
 
 def label_for(seq, k, spec, map_voxel):
-    local_map = build_local_map(seq.scans, seq.poses, k, MapWindow(1, 1),
-                                map_voxel, 10)
-    scan = voxel_downsample(seq.scan(k), 0.1)
+    scan, local_map = MapSetup(1, 1, map_voxel).frame(seq, k)
     return run_monte_carlo(scan, local_map, seq.pose(k), spec, 60,
                            IcpConfig(), seed=0, frame_id=k)
 

@@ -3,7 +3,7 @@ and EKF fusion on SE(3)."""
 
 from . import se3
 from .cloud import (
-    MapWindow,
+    MapSetup,
     NeighborIndex,
     PointCloud,
     build_local_map,

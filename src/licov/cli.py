@@ -17,7 +17,7 @@ import numpy as np
 
 from . import fusion as fusion_mod
 from . import mcgen, metrics, model as model_mod
-from .cloud import save_kitti_poses, save_kitti_scan, voxel_downsample
+from .cloud import save_kitti_poses, save_kitti_scan
 from .config import RunConfig
 from .errors import ConfigError, DataError, NumericError
 from .sequences import parse_frames
@@ -79,10 +79,7 @@ def cmd_generate(cfg: RunConfig, threads: int) -> int:
         cfg.icp_config(),
         cfg.get("montecarlo", "seed"),
         out,
-        window=cfg.map_window(),
-        map_voxel=cfg.get("map", "map_voxel"),
-        scan_voxel=cfg.get("map", "scan_voxel"),
-        normal_k=cfg.get("map", "normal_k"),
+        setup=cfg.map_setup(),
         threads=threads,
         extra_metadata=cfg.echo(),
         progress=progress,
@@ -95,13 +92,13 @@ def cmd_generate(cfg: RunConfig, threads: int) -> int:
 
 
 def _dataset_samples(cfg: RunConfig, seq):
+    setup = cfg.map_setup()
     _, records = mcgen.read_dataset(cfg.get("paths", "dataset"))
-    scan_voxel = cfg.get("map", "scan_voxel")
     samples = []
     for rec in records:
         if not 0 <= rec.frame_id < len(seq):
             raise DataError(f"dataset frame {rec.frame_id} outside the sequence")
-        samples.append((rec, voxel_downsample(seq.scan(rec.frame_id), scan_voxel)))
+        samples.append((rec, setup.scan(seq, rec.frame_id)))
     return records, samples
 
 

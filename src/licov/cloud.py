@@ -63,15 +63,27 @@ class PointCloud:
 
 
 @dataclass(frozen=True)
-class MapWindow:
-    """Frames merged into a local map: `before` earlier, `after` later."""
+class MapSetup:
+    """The `[map]` settings: how a frame's scan and local map are prepared."""
 
-    before: int = 20
-    after: int = 10
+    window_before: int = 20
+    window_after: int = 10
+    map_voxel: float = 1.0
+    scan_voxel: float = 0.1
+    normal_k: int = 10
 
     def __post_init__(self):
-        if self.before < 0 or self.after < 0:
+        if self.window_before < 0 or self.window_after < 0:
             raise ValueError("window bounds must be non-negative")
+
+    def scan(self, sequence, k) -> PointCloud:
+        """Frame k's scan, voxel filtered at scan_voxel."""
+        return voxel_downsample(sequence.scan(k), self.scan_voxel)
+
+    def frame(self, sequence, k):
+        """-> (filtered scan, local map) of frame k."""
+        local_map = build_local_map(sequence.scans, sequence.poses, k, self)
+        return self.scan(sequence, k), local_map
 
 
 def load_kitti_scan(path) -> PointCloud:
@@ -197,39 +209,32 @@ class NeighborIndex:
         return d, i
 
 
-def build_local_map(
-    scans,
-    poses,
-    k: int,
-    window: MapWindow,
-    map_voxel: float = 1.0,
-    normal_k: int = 10,
-) -> PointCloud:
+def build_local_map(scans, poses, k: int, setup: MapSetup) -> PointCloud:
     """Merge a window of scans around frame k into one normal-equipped map.
 
-    Frames k-before .. k+after are clamped to the sequence bounds, each
-    scan is moved into the shared frame by its pose, the union is voxel
-    filtered at map_voxel, and normals are estimated on the result. Maps
-    too small to define a neighborhood (under 4 points) come back without
-    normals; between 4 points and normal_k the neighborhood shrinks to
-    the whole map.
+    Frames k-window_before .. k+window_after are clamped to the sequence
+    bounds, each scan is moved into the shared frame by its pose, the union
+    is voxel filtered at map_voxel, and normals are estimated on the result.
+    Maps too small to define a neighborhood (under 4 points) come back
+    without normals; between 4 points and normal_k the neighborhood shrinks
+    to the whole map.
     """
     n = len(scans)
     if n == 0:
         raise EmptySequence("no scans available")
     if not 0 <= k < n:
         raise MissingPose(f"frame {k} outside sequence of length {n}")
-    lo = max(0, k - window.before)
-    hi = min(n - 1, k + window.after)
+    lo = max(0, k - setup.window_before)
+    hi = min(n - 1, k + setup.window_after)
     parts = []
     for i in range(lo, hi + 1):
         if i >= len(poses) or poses[i] is None:
             raise MissingPose(f"frame {i} has no pose")
         parts.append(transform_cloud(scans[i], poses[i]).points)
     merged = PointCloud(np.vstack(parts))
-    reduced = voxel_downsample(merged, map_voxel)
+    reduced = voxel_downsample(merged, setup.map_voxel)
     if len(reduced) == 0:
         raise EmptyCloud("local map is empty after voxel filtering")
     if len(reduced) < 4:
         return reduced
-    return estimate_normals(reduced, k=min(normal_k, len(reduced) - 1))
+    return estimate_normals(reduced, k=min(setup.normal_k, len(reduced) - 1))

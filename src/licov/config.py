@@ -9,7 +9,7 @@ from __future__ import annotations
 import configparser
 from dataclasses import fields
 
-from .cloud import MapWindow
+from .cloud import MapSetup
 from .errors import ConfigError
 from .fusion import MODES, FusionSetup
 from .icp import IcpConfig
@@ -62,13 +62,7 @@ SCHEMA = {
         "scan_dir": (str, ""),
         "pose_file": (str, ""),
     },
-    "map": {
-        "window_before": (int, MapWindow.before),
-        "window_after": (int, MapWindow.after),
-        "map_voxel": (float, FusionSetup.map_voxel),
-        "scan_voxel": (float, FusionSetup.scan_voxel),
-        "normal_k": (int, FusionSetup.normal_k),
-    },
+    "map": _section(MapSetup),
     "perturbation": _section(PerturbationSpec),
     "icp": _section(IcpConfig),
     "montecarlo": {
@@ -156,21 +150,16 @@ class RunConfig:
     def icp_config(self) -> IcpConfig:
         return IcpConfig(**self._values["icp"])
 
-    def map_window(self) -> MapWindow:
-        m = self._values["map"]
-        return MapWindow(m["window_before"], m["window_after"])
+    def map_setup(self) -> MapSetup:
+        return MapSetup(**self._values["map"])
 
     def train_config(self) -> TrainConfig:
         return TrainConfig(**self._values["train"])
 
     def fusion_setup(self) -> FusionSetup:
-        m = self._values["map"]
         f = self._values["fusion"]
         return FusionSetup(
-            window=self.map_window(),
-            map_voxel=m["map_voxel"],
-            scan_voxel=m["scan_voxel"],
-            normal_k=m["normal_k"],
+            map=self.map_setup(),
             icp=self.icp_config(),
             motion_sigma_xyz=f["motion_sigma_xyz"],
             motion_sigma_rot_deg=f["motion_sigma_rot_deg"],

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import se3
-from .cloud import MapWindow, build_local_map, voxel_downsample
+from .cloud import MapSetup
 from .errors import (
     ConfigError,
     DataError,
@@ -44,10 +44,7 @@ class MotionInput:
 
 @dataclass(frozen=True)
 class FusionSetup:
-    window: MapWindow = MapWindow()
-    map_voxel: float = 1.0
-    scan_voxel: float = 0.1
-    normal_k: int = 10
+    map: MapSetup = MapSetup()
     icp: IcpConfig = IcpConfig()
     motion_sigma_xyz: float = 0.05
     motion_sigma_rot_deg: float = 0.2
@@ -180,10 +177,7 @@ def run_fusion(
         delta_meas = delta_true @ se3.exp(eta)
         state = ekf_predict(state, MotionInput(delta_meas, Q))
 
-        local_map = build_local_map(
-            sequence.scans, sequence.poses, k, setup.window, setup.map_voxel, setup.normal_k
-        )
-        scan = voxel_downsample(sequence.scan(k), setup.scan_voxel)
+        scan, local_map = setup.map.frame(sequence, k)
         if align is None:
             result = icp_point_to_plane(scan, local_map, state.pose, setup.icp, workers=workers)
         else:
@@ -192,7 +186,7 @@ def run_fusion(
         if mode == "icp_only":
             state = FusionState(result.estimate, state.covariance)
         else:
-            R = fixed_cov if mode == "fixed_cov" else predict(model, scan, setup.normal_k)
+            R = fixed_cov if mode == "fixed_cov" else predict(model, scan, setup.map.normal_k)
             state = ekf_update(state, result.estimate, R)
         ids.append(k)
         out.append(state.pose)

@@ -13,12 +13,13 @@ floats with 17 significant digits. Lines starting with '#' are warnings.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import se3
-from .cloud import MapWindow, NeighborIndex, build_local_map, voxel_downsample
+from .cloud import MapSetup, NeighborIndex
 from .errors import (
     AngleNearPi,
     DataError,
@@ -114,7 +115,6 @@ def run_monte_carlo(
     seed: int = 0,
     frame_id: int = 0,
     align=None,
-    workers: int = 1,
 ) -> CovRecord:
     """Label one frame by n perturb-and-realign trials.
 
@@ -128,7 +128,7 @@ def run_monte_carlo(
         index = NeighborIndex(local_map)
 
         def align(source, target, initial, cfg):
-            return icp_point_to_plane(source, target, initial, cfg, index=index, workers=workers)
+            return icp_point_to_plane(source, target, initial, cfg, index=index)
 
     pose_inv = se3.inverse(pose)
     errors = []
@@ -188,6 +188,15 @@ def write_dataset(path, metadata: dict, records, skipped=()):
             f.write(",".join(row) + "\n")
 
 
+@contextmanager
+def _at_line(path, lineno):
+    """Report a ValueError inside the block as a DataError at path:lineno."""
+    try:
+        yield
+    except ValueError as e:
+        raise DataError(f"{path}:{lineno}: {e}") from None
+
+
 def read_dataset(path):
     """-> (metadata dict, list[CovRecord]); '#' lines are skipped."""
     with open(path, "r") as f:
@@ -195,7 +204,9 @@ def read_dataset(path):
     if not lines:
         raise DataError(f"{path}: empty file")
     tag = lines[0].split(",")
-    if len(tag) != 2 or tag[0] != FORMAT_TAG or int(tag[1]) != FORMAT_VERSION:
+    with _at_line(path, 1):
+        version = int(tag[1]) if len(tag) == 2 else None
+    if tag[0] != FORMAT_TAG or version != FORMAT_VERSION:
         raise DataError(f"{path}: unrecognized format line {lines[0]!r}")
     if len(lines) < 2:
         raise DataError(f"{path}: missing metadata line")
@@ -204,23 +215,26 @@ def read_dataset(path):
         for pair in lines[1].split(","):
             key, _, value = pair.partition("=")
             metadata[key] = value
+    with _at_line(path, 2):
+        seed = int(metadata.get("seed", 0))
     records = []
-    for ln in lines[2:]:
+    for lineno, ln in enumerate(lines[2:], start=3):
         if not ln or ln.startswith("#"):
             continue
         row = ln.split(",")
         if len(row) != 30:
-            raise DataError(f"{path}: record has {len(row)} fields, expected 30")
-        records.append(
-            CovRecord(
-                frame_id=int(row[0]),
-                n=int(row[1]),
-                covariance=unpack_upper([float(x) for x in row[3:24]]),
-                seed=int(metadata.get("seed", 0)),
-                diverged_count=int(row[2]),
-                mean_twist=np.array([float(x) for x in row[24:30]]),
+            raise DataError(f"{path}:{lineno}: record has {len(row)} fields, expected 30")
+        with _at_line(path, lineno):
+            records.append(
+                CovRecord(
+                    frame_id=int(row[0]),
+                    n=int(row[1]),
+                    covariance=unpack_upper([float(x) for x in row[3:24]]),
+                    seed=seed,
+                    diverged_count=int(row[2]),
+                    mean_twist=np.array([float(x) for x in row[24:30]]),
+                )
             )
-        )
     if not records:
         raise EmptyDataset(f"{path}: no records")
     return metadata, records
@@ -233,18 +247,14 @@ class GenerateSummary:
     total_diverged: int
 
 
-def dataset_metadata(spec, n, window, map_voxel, scan_voxel, normal_k, config, seed, extra=None):
+def dataset_metadata(spec, n, setup, config, seed, extra=None):
     def text(obj, f):
         v = getattr(obj, f.name)
         return str(v) if f.type == "int" else _fmt(v)
 
     md = {f.name: text(spec, f) for f in fields(spec)}
     md["n"] = str(n)
-    md["window_before"] = str(window.before)
-    md["window_after"] = str(window.after)
-    md["map_voxel"] = _fmt(map_voxel)
-    md["scan_voxel"] = _fmt(scan_voxel)
-    md["normal_k"] = str(normal_k)
+    md.update((f.name, text(setup, f)) for f in fields(setup))
     md.update((f"icp_{f.name}", text(config, f)) for f in fields(config))
     md["seed"] = str(seed)
     if extra:
@@ -261,10 +271,7 @@ def generate_dataset(
     config: IcpConfig,
     seed: int,
     out_path,
-    window: MapWindow = MapWindow(),
-    map_voxel: float = 1.0,
-    scan_voxel: float = 0.1,
-    normal_k: int = 10,
+    setup: MapSetup = MapSetup(),
     threads: int = 1,
     extra_metadata=None,
     progress=None,
@@ -286,10 +293,7 @@ def generate_dataset(
         if failed and frame_id > min(failed):
             return None
         try:
-            local_map = build_local_map(
-                sequence.scans, sequence.poses, frame_id, window, map_voxel, normal_k
-            )
-            scan = voxel_downsample(sequence.scan(frame_id), scan_voxel)
+            scan, local_map = setup.frame(sequence, frame_id)
             return run_monte_carlo(
                 scan,
                 local_map,
@@ -299,7 +303,6 @@ def generate_dataset(
                 config,
                 seed=seed,
                 frame_id=frame_id,
-                workers=1,
             )
         except TooFewValidSamples:
             raise
@@ -325,9 +328,7 @@ def generate_dataset(
             raise
 
     records = [results[f] for f in frames if f in results]
-    metadata = dataset_metadata(
-        spec, n, window, map_voxel, scan_voxel, normal_k, config, seed, extra_metadata
-    )
+    metadata = dataset_metadata(spec, n, setup, config, seed, extra_metadata)
     write_dataset(out_path, metadata, records, skipped)
     return GenerateSummary(
         records=records,

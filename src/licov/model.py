@@ -18,7 +18,7 @@ from scipy.special import expit
 
 from . import se3
 from .cloud import PointCloud, estimate_normals, transform_cloud
-from .errors import DataError, EmptyDataset, NotPositiveDefinite, TooFewPoints
+from .errors import DataError, EmptyDataset, NotPositiveDefinite, NumericError, TooFewPoints
 from .features import FEATURE_DIM, extract_features, feature_spec_hash
 from .mcgen import pack_upper
 
@@ -99,6 +99,8 @@ def regularize_label(cov) -> np.ndarray:
 
 
 def _chol_or_raise(mat, what):
+    if not np.isfinite(mat).all():
+        raise NumericError(f"{what} has non-finite entries")
     try:
         return np.linalg.cholesky(mat)
     except np.linalg.LinAlgError:
@@ -115,6 +117,12 @@ def loss_kl(y_hat, y_bar, regularize: bool = True) -> float:
     y_bar = np.asarray(y_bar, dtype=float)
     if regularize:
         y_bar = regularize_label(y_bar)
+    return _kl_and_factors(y_hat, y_bar)[0]
+
+
+def _kl_and_factors(y_hat, y_bar):
+    """KL of N(0, y_hat) from N(0, y_bar) plus the Cholesky factors
+    (L_bar, L_hat); y_bar must already be regularized."""
     L_bar = _chol_or_raise(y_bar, "KL reference covariance")
     L_hat = _chol_or_raise(y_hat, "KL predicted covariance")
     # tr(y_bar^-1 y_hat) = || L_bar^-1 L_hat ||_F^2
@@ -122,7 +130,7 @@ def loss_kl(y_hat, y_bar, regularize: bool = True) -> float:
     trace = float((M * M).sum())
     logdet_bar = 2.0 * float(np.log(np.diag(L_bar)).sum())
     logdet_hat = 2.0 * float(np.log(np.diag(L_hat)).sum())
-    return 0.5 * (trace - 6.0 + logdet_bar - logdet_hat)
+    return 0.5 * (trace - 6.0 + logdet_bar - logdet_hat), L_bar, L_hat
 
 
 def _huber_scalar(d, delta):
@@ -140,15 +148,7 @@ def loss_huber(y_hat, y_bar, delta: float = 1e-3) -> float:
 
 def _combined_grad_y(y_hat, y_bar, alpha, beta, delta):
     """Loss value and its gradient with respect to the full matrix y_hat."""
-    y_bar_reg = regularize_label(y_bar)
-    L_bar = _chol_or_raise(y_bar_reg, "KL reference covariance")
-    L_hat = _chol_or_raise(y_hat, "KL predicted covariance")
-    M = solve_triangular(L_bar, L_hat, lower=True)
-    trace = float((M * M).sum())
-    logdet_bar = 2.0 * float(np.log(np.diag(L_bar)).sum())
-    logdet_hat = 2.0 * float(np.log(np.diag(L_hat)).sum())
-    kl = 0.5 * (trace - 6.0 + logdet_bar - logdet_hat)
-
+    kl, L_bar, L_hat = _kl_and_factors(y_hat, regularize_label(y_bar))
     eye = np.eye(6)
     inv_bar = cho_solve((L_bar, True), eye)
     inv_hat = cho_solve((L_hat, True), eye)
@@ -342,15 +342,20 @@ def train(samples, config: TrainConfig = TrainConfig(), normal_k: int = 10,
             f_n = (f - model.feat_mean) / model.feat_scale
             h = np.tanh(model.w1 @ f_n + model.b1)
             raw = model.w2 @ h + model.b2
-            loss, g_raw = head_loss_and_grad(
-                raw, label, config.alpha, config.beta, config.huber_delta
-            )
+            try:
+                loss, g_raw = head_loss_and_grad(
+                    raw, label, config.alpha, config.beta, config.huber_delta
+                )
+            except NumericError as e:
+                raise type(e)(f"training step {step + 1}: {e}") from e
             total += loss
             g_w2 += np.outer(g_raw, h)
             g_b2 += g_raw
             dz = (1.0 - h * h) * (model.w2.T @ g_raw)
             g_w1 += np.outer(dz, f_n)
             g_b1 += dz
+        if not np.isfinite(total):
+            raise NumericError(f"training step {step + 1}: loss is not finite")
         k = float(len(idx))
         model.w1 -= config.learning_rate * g_w1 / k
         model.b1 -= config.learning_rate * g_b1 / k

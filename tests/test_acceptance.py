@@ -17,7 +17,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from licov import cli, se3
-from licov.cloud import MapWindow, PointCloud, build_local_map, voxel_downsample
+from licov.cloud import MapSetup, PointCloud, build_local_map, voxel_downsample
 from licov.fusion import (
     FusionSetup,
     FusionState,
@@ -102,7 +102,7 @@ def test_acceptance_02_icp_recovery_full_scale():
     t0 = time.perf_counter()
     seq = make_synthetic_scene("room", seed=0)
     k = 5
-    local_map = build_local_map(seq.scans, seq.poses, k, MapWindow(1, 1), 0.2, 10)
+    local_map = build_local_map(seq.scans, seq.poses, k, MapSetup(1, 1, 0.2, normal_k=10))
     scan = voxel_downsample(seq.scan(k), 0.1)
     pose = seq.pose(k)
 
@@ -155,7 +155,7 @@ def test_acceptance_03_monte_carlo_statistical_oracle():
 def test_acceptance_04_scene_conditioning():
     t0 = time.perf_counter()
     cor = make_synthetic_scene("corridor", seed=0)
-    lm = build_local_map(cor.scans, cor.poses, 13, MapWindow(1, 1), 0.4, 10)
+    lm = build_local_map(cor.scans, cor.poses, 13, MapSetup(1, 1, 0.4, normal_k=10))
     sc = voxel_downsample(cor.scan(13), 0.1)
     rec = run_monte_carlo(sc, lm, cor.pose(13), PerturbationSpec(2, 1, 1, 1, 1, 1),
                           200, IcpConfig(), seed=0, frame_id=13)
@@ -168,7 +168,7 @@ def test_acceptance_04_scene_conditioning():
     room = make_synthetic_scene("room", seed=0)
     recs = []
     for k in range(len(room)):
-        lm = build_local_map(room.scans, room.poses, k, MapWindow(1, 1), 0.2, 10)
+        lm = build_local_map(room.scans, room.poses, k, MapSetup(1, 1, 0.2, normal_k=10))
         sc = voxel_downsample(room.scan(k), 0.1)
         recs.append(run_monte_carlo(sc, lm, room.pose(k), PerturbationSpec(),
                                     200, IcpConfig(), seed=0, frame_id=k))
@@ -234,7 +234,7 @@ def test_acceptance_07_fusion_mode_ordering(tmp_path):
     spec = PerturbationSpec(1.0, 0.1, 0.1, 1.0, 1.0, 1.0)
     summary = generate_dataset(cor, frames, spec, 40, IcpConfig(), 0,
                                tmp_path / "labels.csv",
-                               window=MapWindow(1, 1), map_voxel=1.0, scan_voxel=0.2)
+                               setup=MapSetup(1, 1, map_voxel=1.0, scan_voxel=0.2))
     recs = summary.records
     samples = [(r, voxel_downsample(cor.scan(r.frame_id), 0.2)) for r in recs]
     cfg = TrainConfig(learning_rate=1e-3, steps=25000, batch_size=16, seed=0,
@@ -242,7 +242,7 @@ def test_acceptance_07_fusion_mode_ordering(tmp_path):
     model, _ = train(samples, cfg, normal_k=10)
     fixed = average_covariance(recs)
 
-    setup = FusionSetup(window=MapWindow(1, 1), map_voxel=1.0, scan_voxel=0.2,
+    setup = FusionSetup(map=MapSetup(1, 1, map_voxel=1.0, scan_voxel=0.2),
                         icp=IcpConfig(), motion_sigma_xyz=0.02)
     truth = Trajectory(frames, [cor.pose(k) for k in frames])
     modes = ("icp_only", "fixed_cov", "predicted_cov")

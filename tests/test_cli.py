@@ -1,5 +1,6 @@
 """End-to-end command-line coverage for every subcommand and exit code."""
 import os
+import re
 import shutil
 
 import numpy as np
@@ -103,6 +104,11 @@ class TestUsageErrors:
         path.write_text("density = 4\n")  # key before any section header
         assert cli.main(["generate", "--config", str(path)]) == 1
 
+    def test_negative_window_rejected_before_reading_data(self):
+        for command in ("train", "eval"):
+            assert cli.main([command, *COMMON, "--set", "map.window_before=-1",
+                             "--set", "paths.dataset=/nonexistent.csv"]) == 1
+
     def test_synth_requires_synthetic(self):
         assert cli.main(["synth", "--set", "sequence.kind=kitti"]) == 1
 
@@ -117,6 +123,29 @@ class TestDataErrors:
         assert cli.main(["eval", *COMMON,
                          "--set", f"paths.dataset={ds}",
                          "--set", "paths.model=/nonexistent.txt"]) == 2
+
+    # one non-numeric value per field kind: (line, comma-separated column, text)
+    @pytest.mark.parametrize("line, column, text", [
+        (1, 1, "one"),
+        (2, 0, "seed=s21"),
+        (3, 0, "zero"),
+        (4, 1, "6.5"),
+        (5, 2, "none"),
+        (6, 3, "1e-2x"),
+        (6, 29, "0y"),
+    ], ids=["version", "seed", "frame_id", "n_valid", "diverged", "covariance", "mean_twist"])
+    def test_non_numeric_field(self, tmp_path, capsys, line, column, text):
+        path = tmp_path / "ds.csv"
+        handcrafted_dataset(path)
+        lines = path.read_text().splitlines()
+        row = lines[line - 1].split(",")
+        row[column] = text
+        lines[line - 1] = ",".join(row)
+        path.write_text("\n".join(lines) + "\n")
+        assert cli.main(["train", *COMMON, *TRAIN, "--set", f"paths.dataset={path}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {path}:{line}: ")
+        assert err.count("\n") == 1
 
     def test_header_only_dataset(self, ws):
         empty = ws["root"] / "empty.csv"
@@ -133,6 +162,20 @@ class TestNumericErrors:
                        "--set", f"paths.dataset={bad}",
                        "--set", f"paths.model={ws['root'] / 'model.txt'}"])
         assert rc == 3
+
+
+    def test_training_blow_up_names_the_step(self, ws, capsys):
+        # the default rate with augmentation diverges on these Monte-Carlo
+        # labels within 60 steps; the overflow reaches the head's Cholesky
+        model = ws["root"] / "blown.txt"
+        rc = cli.main(["train", *COMMON, "--set", "train.steps=60",
+                       "--set", "train.batch_size=4",
+                       "--set", f"paths.dataset={ws['root'] / 'ds.csv'}",
+                       "--set", f"paths.model={model}"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"numeric error: training step \d+: .*non-finite entries\n", err)
+        assert not model.exists()
 
 
 class TestSynth:

@@ -7,7 +7,7 @@ import pytest
 
 from licov import se3
 from licov.cloud import (
-    MapWindow,
+    MapSetup,
     NeighborIndex,
     PointCloud,
     build_local_map,
@@ -250,7 +250,7 @@ class TestLocalMap:
     def test_two_scans_merge_to_one_voxel(self):
         scans = [PointCloud([[0.1, 0, 0]]), PointCloud([[0.2, 0, 0]])]
         poses = [se3.SE3.identity(), se3.exp([0.5, 0, 0, 0, 0, 0])]
-        out = build_local_map(scans, poses, 0, MapWindow(5, 5), map_voxel=10.0)
+        out = build_local_map(scans, poses, 0, MapSetup(5, 5, map_voxel=10.0))
         # centroid of (0.1, 0, 0) and (0.7, 0, 0)
         assert np.allclose(out.points, [[0.4, 0, 0]])
         assert out.normals is None
@@ -258,21 +258,21 @@ class TestLocalMap:
     def test_window_clamped_to_sequence(self):
         scans = [PointCloud([[float(i), 0, 0]]) for i in range(100)]
         poses = [se3.SE3.identity()] * 100
-        out = build_local_map(scans, poses, 5, MapWindow(20, 10), map_voxel=1e-3)
+        out = build_local_map(scans, poses, 5, MapSetup(20, 10, map_voxel=1e-3))
         xs = np.sort(out.points[:, 0])
         assert np.array_equal(xs, np.arange(16.0))
 
     def test_scans_moved_by_poses(self):
         scans = [PointCloud([[0, 0, 0]]), PointCloud([[0, 0, 0]])]
         poses = [se3.SE3.identity(), se3.exp([4.0, 0, 0, 0, 0, 0])]
-        out = build_local_map(scans, poses, 0, MapWindow(0, 1), map_voxel=0.5)
+        out = build_local_map(scans, poses, 0, MapSetup(0, 1, map_voxel=0.5))
         xs = np.sort(out.points[:, 0])
         assert np.allclose(xs, [0.0, 4.0])
 
     def test_normals_present_on_big_maps(self, room_sequence):
         seq = room_sequence
         out = build_local_map(
-            seq.scans, seq.poses, 0, MapWindow(2, 2), map_voxel=0.2
+            seq.scans, seq.poses, 0, MapSetup(2, 2, map_voxel=0.2)
         )
         assert out.normals is not None
         assert len(out) > 100
@@ -280,17 +280,35 @@ class TestLocalMap:
     def test_window_zero_is_single_frame(self):
         scans = [PointCloud([[float(i), 0, 0]]) for i in range(3)]
         poses = [se3.SE3.identity()] * 3
-        out = build_local_map(scans, poses, 1, MapWindow(0, 0), map_voxel=1e-3)
+        out = build_local_map(scans, poses, 1, MapSetup(0, 0, map_voxel=1e-3))
         assert np.allclose(out.points, [[1.0, 0, 0]])
 
     def test_empty_sequence(self):
         with pytest.raises(EmptySequence):
-            build_local_map([], [], 0, MapWindow())
+            build_local_map([], [], 0, MapSetup())
 
     def test_frame_out_of_range(self):
         scans = [PointCloud([[0, 0, 0]])]
         with pytest.raises(MissingPose):
-            build_local_map(scans, [se3.SE3.identity()], 3, MapWindow())
+            build_local_map(scans, [se3.SE3.identity()], 3, MapSetup())
+
+
+class TestMapSetup:
+    def test_negative_window_rejected(self):
+        for bounds in ({"window_before": -1}, {"window_after": -1}):
+            with pytest.raises(ValueError):
+                MapSetup(**bounds)
+
+    def test_frame_is_filtered_scan_and_local_map(self, room_sequence):
+        seq = room_sequence
+        setup = MapSetup(1, 1, map_voxel=0.4, scan_voxel=0.3, normal_k=6)
+        scan, local_map = setup.frame(seq, 1)
+        assert np.array_equal(scan.points, voxel_downsample(seq.scan(1), 0.3).points)
+        assert np.array_equal(setup.scan(seq, 1).points, scan.points)
+        merged = np.vstack([transform_cloud(seq.scan(i), seq.pose(i)).points for i in range(3)])
+        expected = estimate_normals(voxel_downsample(PointCloud(merged), 0.4), k=6)
+        assert np.array_equal(local_map.points, expected.points)
+        assert np.array_equal(local_map.normals, expected.normals)
 
 
 class TestSequences:

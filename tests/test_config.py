@@ -1,5 +1,6 @@
 """Run configuration: the CLI's defaults are the library's defaults."""
 
+from licov.cloud import MapSetup
 from licov.config import RunConfig
 from licov.fusion import FusionSetup
 from licov.icp import IcpConfig
@@ -12,6 +13,7 @@ def test_defaults_without_config_file_match_library_defaults():
     pairs = [
         (cfg.perturbation_spec(), PerturbationSpec()),
         (cfg.icp_config(), IcpConfig()),
+        (cfg.map_setup(), MapSetup()),
         (cfg.train_config(), TrainConfig()),
         (cfg.fusion_setup(), FusionSetup()),
     ]

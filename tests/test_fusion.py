@@ -6,7 +6,7 @@ import pytest
 
 from licov import model as model_mod
 from licov import se3
-from licov.cloud import MapWindow
+from licov.cloud import MapSetup
 from licov.errors import ConfigError, DataError, EmptyTrajectory, FrameMismatch
 from licov.features import extract_features
 from licov.fusion import (
@@ -241,7 +241,7 @@ class TestRunFusion:
         # every mode must reproduce the ground-truth trajectory
         frames = list(range(5))
         setup = FusionSetup(
-            window=MapWindow(1, 1), map_voxel=0.4, scan_voxel=0.3,
+            map=MapSetup(1, 1, map_voxel=0.4, scan_voxel=0.3),
             motion_sigma_xyz=0.0, motion_sigma_rot_deg=0.0,
         )
         passthrough = lambda source, target, initial, cfg: SimpleNamespace(estimate=initial)
@@ -257,7 +257,7 @@ class TestRunFusion:
 
     def test_constant_model_matches_fixed_cov(self, small_room):
         frames = list(range(5))
-        setup = FusionSetup(window=MapWindow(1, 1), map_voxel=0.4, scan_voxel=0.3)
+        setup = FusionSetup(map=MapSetup(1, 1, map_voxel=0.4, scan_voxel=0.3))
         rng = np.random.default_rng(5)
         a = rng.normal(size=(6, 6)) * 0.1
         avg = a @ a.T * 1e-2 + 1e-3 * np.eye(6)
@@ -278,7 +278,7 @@ class TestRunFusion:
         # accurate measurements with a tight R pull the filter onto the
         # truth; a loose R leaves it on the drifting odometry
         frames = list(range(5))
-        setup = FusionSetup(window=MapWindow(1, 1), map_voxel=0.4, scan_voxel=0.3)
+        setup = FusionSetup(map=MapSetup(1, 1, map_voxel=0.4, scan_voxel=0.3))
         truth = truth_trajectory(small_room, frames)
         tight = run_fusion(
             small_room, frames, "fixed_cov", setup, fixed_cov=1e-8 * np.eye(6),
@@ -294,7 +294,7 @@ class TestRunFusion:
 
     def test_seeded_odometry_noise_repeats(self, small_room):
         frames = list(range(4))
-        setup = FusionSetup(window=MapWindow(1, 1), map_voxel=0.4, scan_voxel=0.3)
+        setup = FusionSetup(map=MapSetup(1, 1, map_voxel=0.4, scan_voxel=0.3))
         passthrough = lambda source, target, initial, cfg: SimpleNamespace(estimate=initial)
         a = run_fusion(small_room, frames, "icp_only", setup, seed=9, align=passthrough)
         b = run_fusion(small_room, frames, "icp_only", setup, seed=9, align=passthrough)
@@ -304,7 +304,7 @@ class TestRunFusion:
 
     def test_real_icp_tracks_room(self, small_room):
         frames = list(range(5))
-        setup = FusionSetup(window=MapWindow(1, 1), map_voxel=0.4, scan_voxel=0.3)
+        setup = FusionSetup(map=MapSetup(1, 1, map_voxel=0.4, scan_voxel=0.3))
         truth = truth_trajectory(small_room, frames)
         fused = run_fusion(
             small_room, frames, "fixed_cov", setup, fixed_cov=1e-4 * np.eye(6), seed=3
@@ -322,7 +322,7 @@ class TestRunFusion:
 
         monkeypatch.setattr(model_mod, "extract_features", spy)
         frames = list(range(3))
-        setup = FusionSetup(window=MapWindow(1, 1), map_voxel=0.4, scan_voxel=0.3, normal_k=6)
+        setup = FusionSetup(map=MapSetup(1, 1, map_voxel=0.4, scan_voxel=0.3, normal_k=6))
         run_fusion(small_room, frames, "predicted_cov", setup,
                    model=constant_model(1e-4 * np.eye(6)), align=truth_oracle(small_room, frames))
         assert seen == [6, 6]

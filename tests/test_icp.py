@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from licov import se3
-from licov.cloud import MapWindow, PointCloud, build_local_map, transform_cloud
+from licov.cloud import MapSetup, PointCloud, build_local_map, transform_cloud
 from licov.errors import NoCorrespondences
 from licov.icp import IcpConfig, icp_point_to_plane, point_to_plane_rmse
 
@@ -14,7 +14,7 @@ XI0 = np.array([0.1, -0.2, 0.05, 0.01, 0.02, -0.03])
 @pytest.fixture(scope="module")
 def room_map(room_sequence):
     seq = room_sequence
-    return build_local_map(seq.scans, seq.poses, 0, MapWindow(1, 1), map_voxel=0.2)
+    return build_local_map(seq.scans, seq.poses, 0, MapSetup(1, 1, map_voxel=0.2))
 
 
 def plane_grid(nx=21, ny=21, spacing=0.2):

@@ -7,8 +7,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from licov import mcgen, se3
-from licov.cloud import MapWindow, PointCloud
+from licov import cloud, mcgen, se3
+from licov.cloud import MapSetup, PointCloud
 from licov.errors import DataError, EmptyDataset, NoCorrespondences, TooFewValidSamples
 from licov.icp import IcpConfig
 from licov.mcgen import (
@@ -199,12 +199,7 @@ class TestRunMonteCarlo:
 
     def test_real_icp_deterministic(self):
         seq = make_synthetic_scene("room", density=3.0, n_frames=3, seed=5)
-        from licov.cloud import build_local_map, voxel_downsample
-
-        local_map = build_local_map(
-            seq.scans, seq.poses, 1, MapWindow(1, 1), map_voxel=0.4
-        )
-        scan = voxel_downsample(seq.scan(1), 0.3)
+        scan, local_map = MapSetup(1, 1, map_voxel=0.4, scan_voxel=0.3).frame(seq, 1)
         spec = PerturbationSpec(0.1, 0.1, 0.1, 2.0, 2.0, 2.0)
         cfg = IcpConfig(max_iterations=10)
         recs = [
@@ -299,9 +294,7 @@ class TestGenerateDataset:
             config=IcpConfig(max_iterations=8),
             seed=21,
             out_path=path,
-            window=MapWindow(1, 1),
-            map_voxel=0.4,
-            scan_voxel=0.3,
+            setup=MapSetup(1, 1, map_voxel=0.4, scan_voxel=0.3),
             threads=threads,
         )
 
@@ -351,7 +344,7 @@ class TestGenerateCancellation:
             time.sleep(0.2)
             return CovRecord(frame_id, 2, 1e-4 * np.eye(6), 0, 0, np.zeros(6))
 
-        monkeypatch.setattr(mcgen, "build_local_map", lambda *args: DUMMY)
+        monkeypatch.setattr(cloud, "build_local_map", lambda *args: DUMMY)
         monkeypatch.setattr(mcgen, "run_monte_carlo", fake_monte_carlo)
         seq = InMemorySequence([DUMMY] * self.FRAMES, [IDENT] * self.FRAMES)
         generate_dataset(seq, range(self.FRAMES), PerturbationSpec(), 2, IcpConfig(), 0,

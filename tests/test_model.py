@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from licov import model as model_mod
 from licov import se3
 from licov.cloud import PointCloud
-from licov.errors import DataError, EmptyDataset, NotPositiveDefinite
+from licov.errors import DataError, EmptyDataset, NotPositiveDefinite, NumericError
 from licov.mcgen import CovRecord, pack_upper
 from licov.model import (
     DIAG_FLOOR,
@@ -127,6 +128,13 @@ class TestKl:
         with pytest.raises(NotPositiveDefinite):
             loss_kl(np.diag([1.0, 1, 1, 1, 1, 0.0]), np.eye(6))
 
+    def test_non_finite_matrix_is_a_numeric_error(self):
+        for bad in (np.diag(np.full(6, np.inf)), np.full((6, 6), np.nan)):
+            with pytest.raises(NumericError, match="non-finite"):
+                loss_kl(bad, np.eye(6))
+            with pytest.raises(NumericError, match="non-finite"):
+                loss_kl(np.eye(6), bad, regularize=False)
+
     def test_singular_label_regularized_or_rejected(self):
         singular = np.zeros((6, 6))
         assert np.isfinite(loss_kl(np.eye(6), singular))
@@ -192,6 +200,14 @@ class TestCombined:
         kl, _ = head_loss_and_grad(raw, ref, alpha=1.0, beta=0.0)
         assert abs(hub - loss_huber(y, ref)) < 1e-15
         assert abs(kl - loss_kl(y, ref)) < 1e-12
+
+    def test_overflowing_head_is_a_numeric_error(self):
+        # off-diagonal Cholesky entries this large overflow C C^T to inf
+        raw = np.zeros(21)
+        raw[6:] = 1e200
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError, match="non-finite"):
+                head_loss_and_grad(raw, np.eye(6))
 
     def test_huber_sees_raw_label_kl_sees_regularized(self):
         raw = np.zeros(21)
@@ -532,6 +548,27 @@ class TestTraining:
         _, losses = train(samples, cfg)
         assert np.isfinite(losses).all()
         assert losses[-1] < losses[0]
+
+    def test_numeric_failure_names_the_step(self, monkeypatch):
+        calls = []
+
+        def fails_in_step_three(raw, *args):
+            calls.append(raw)
+            if len(calls) > 4:
+                raise NotPositiveDefinite("KL predicted covariance is not positive definite")
+            return head_loss_and_grad(raw, *args)
+
+        monkeypatch.setattr(model_mod, "head_loss_and_grad", fails_in_step_three)
+        cfg = TrainConfig(steps=5, batch_size=2, seed=3, augment=False)
+        with pytest.raises(NotPositiveDefinite, match="^training step 3: KL predicted"):
+            train(tiny_samples(), cfg)
+
+    def test_non_finite_loss_names_the_step(self, monkeypatch):
+        monkeypatch.setattr(model_mod, "head_loss_and_grad",
+                            lambda raw, *args: (np.inf, np.zeros(21)))
+        cfg = TrainConfig(steps=5, batch_size=2, seed=3, augment=False)
+        with pytest.raises(NumericError, match="^training step 1: loss is not finite"):
+            train(tiny_samples(), cfg)
 
     def test_single_record_overfits(self):
         # label eigenvalues sit around 1e-2, the scale the default step size
