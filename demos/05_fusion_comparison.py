@@ -48,10 +48,10 @@ print("\nseed   icp_only   fixed_cov  predicted_cov   (ADE, m)")
 means = {m: [] for m in ("icp_only", "fixed_cov", "predicted_cov")}
 for seed in (100, 101, 102):
     row = []
+    trajs = run_fusion(corridor, frames, tuple(means), setup, model=model,
+                       fixed_cov=fixed, seed=seed)
     for mode in means:
-        traj = run_fusion(corridor, frames, mode, setup, model=model,
-                          fixed_cov=fixed, seed=seed)
-        err = ade(traj, truth)
+        err = ade(trajs[mode], truth)
         means[mode].append(err)
         row.append(f"{err:10.4f}")
     print(f"{seed}  " + " ".join(row))

@@ -163,12 +163,13 @@ def cmd_fuse(cfg: RunConfig, threads: int) -> int:
         trained, _ = model_mod.load_model(cfg.get("paths", "model"))
 
     truth = fusion_mod.Trajectory(list(frames), [seq.pose(k) for k in frames])
+    trajs = fusion_mod.run_fusion(
+        seq, frames, modes, setup, model=trained, fixed_cov=fixed,
+        seed=seed, workers=threads,
+    )
     rows = []
     for mode in modes:
-        traj = fusion_mod.run_fusion(
-            seq, frames, mode, setup, model=trained, fixed_cov=fixed,
-            seed=seed, workers=threads,
-        )
+        traj = trajs[mode]
         path = os.path.join(out_dir, f"trajectory_{mode}.txt")
         fusion_mod.write_trajectory(path, traj, header=cfg.echo())
         rows.append((mode, fusion_mod.ade(traj, truth), fusion_mod.fde(traj, truth)))

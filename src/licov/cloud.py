@@ -21,6 +21,7 @@ from .errors import (
     MalformedScan,
     MissingPose,
     TooFewPoints,
+    at_line,
 )
 
 _RECORD_BYTES = 16
@@ -119,7 +120,8 @@ def load_kitti_poses(path) -> list:
             line = line.strip()
             if not line:
                 continue
-            vals = [float(x) for x in line.split()]
+            with at_line(path, lineno + 1):
+                vals = [float(x) for x in line.split()]
             if len(vals) != 12:
                 raise MalformedScan(
                     f"{path}:{lineno + 1}: expected 12 values, got {len(vals)}"
@@ -139,9 +141,12 @@ def save_kitti_poses(path, poses):
 def voxel_downsample(cloud: PointCloud, voxel_size: float) -> PointCloud:
     """Replace each occupied voxel by the centroid of its points.
 
-    Voxel keys are floor(p / voxel_size); output is ordered by key, so the
-    result does not depend on input point order beyond summation roundoff.
-    Normals are dropped (centroids need re-estimation).
+    Voxel keys are floor(p / voxel_size); output is ordered by key (x, then
+    y, then z), so the result does not depend on input point order beyond
+    summation roundoff. Normals are dropped (centroids need re-estimation).
+    The keys are packed into one int64 in mixed radix over the occupied
+    grid, which keeps that order; a grid of more than 2**63 - 1 cells
+    raises InvalidVoxelSize.
     """
     if not np.isfinite(voxel_size) or voxel_size <= 0:
         raise InvalidVoxelSize(f"voxel_size must be positive, got {voxel_size}")
@@ -149,10 +154,17 @@ def voxel_downsample(cloud: PointCloud, voxel_size: float) -> PointCloud:
     if pts.shape[0] == 0:
         return PointCloud(pts)
     keys = np.floor(pts / voxel_size).astype(np.int64)
-    uniq, inv = np.unique(keys, axis=0, return_inverse=True)
-    sums = np.zeros((uniq.shape[0], 3))
-    np.add.at(sums, inv, pts)
-    counts = np.bincount(inv, minlength=uniq.shape[0]).astype(float)
+    lo = keys.min(axis=0)
+    nx, ny, nz = (int(h) - int(l) + 1 for h, l in zip(keys.max(axis=0), lo))
+    if nx * ny * nz > np.iinfo(np.int64).max:
+        raise InvalidVoxelSize(
+            f"voxel_size {voxel_size} gives a grid of {nx * ny * nz} cells, over 2**63 - 1"
+        )
+    rel = keys - lo
+    packed = (rel[:, 0] * ny + rel[:, 1]) * nz + rel[:, 2]
+    _, inv = np.unique(packed, return_inverse=True)
+    counts = np.bincount(inv).astype(float)
+    sums = np.stack([np.bincount(inv, weights=pts[:, i]) for i in range(3)], axis=1)
     return PointCloud(sums / counts[:, None])
 
 

@@ -3,6 +3,7 @@
 Three branches matching the CLI exit-code contract: configuration and
 usage problems (exit 1), data problems (exit 2), numeric failures (exit 3).
 """
+from contextlib import contextmanager
 
 
 class LicovError(Exception):
@@ -83,3 +84,12 @@ class EmptyEvaluation(DataError):
 
 class EmptyTrajectory(DataError):
     """Trajectory metric requires at least one frame."""
+
+
+@contextmanager
+def at_line(path, lineno):
+    """Report a ValueError inside the block as a DataError at path:lineno."""
+    try:
+        yield
+    except ValueError as e:
+        raise DataError(f"{path}:{lineno}: {e}") from None

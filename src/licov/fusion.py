@@ -3,9 +3,9 @@
 The error state lives in the body frame (T_true = T_est o exp(eps)), so
 prediction transports covariance by Ad(delta^-1) and the measurement
 model for a full-pose observation is identity. Modes compared by
-run_fusion: raw ICP without filtering, filtering with one fixed
-measurement covariance, and filtering with per-frame predicted
-covariances.
+run_fusion, in one pass over the frames: raw ICP without filtering,
+filtering with one fixed measurement covariance, and filtering with
+per-frame predicted covariances.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import se3
-from .cloud import MapSetup
+from .cloud import MapSetup, NeighborIndex
 from .errors import (
     ConfigError,
     DataError,
@@ -136,28 +136,32 @@ def read_trajectory(path) -> Trajectory:
 def run_fusion(
     sequence,
     frames,
-    mode: str,
+    modes,
     setup: FusionSetup = FusionSetup(),
     model=None,
     fixed_cov=None,
     seed: int = 0,
     workers: int = 1,
     align=None,
-) -> Trajectory:
-    """Track the sequence with odometry = ground-truth deltas plus Gaussian
-    twist noise and ICP pose measurements against the local map.
+) -> dict:
+    """Track the sequence in each of `modes` -> {mode: Trajectory}.
 
-    The filter starts at the true first-frame pose. Per-frame odometry
-    noise comes from the (seed, frame) substream, so runs are repeatable
-    and mode choice does not change the noise realization. `align` may
-    replace the ICP call (source, target, initial, cfg -> object with
-    .estimate).
+    Odometry is the ground-truth delta plus Gaussian twist noise; ICP
+    against the local map gives the pose measurements. Every filter starts
+    at the true first-frame pose. Per-frame odometry noise comes from the
+    (seed, frame) substream, so runs are repeatable and every mode sees the
+    same noise realization. Each frame's scan, local map and neighbor index
+    are prepared once and shared by all modes. `align` may replace the ICP
+    call (source, target, initial, cfg -> object with .estimate); it is
+    called once per frame and mode.
     """
-    if mode not in MODES:
-        raise ConfigError(f"unknown fusion mode {mode!r}")
-    if mode == "predicted_cov" and model is None:
+    modes = tuple(dict.fromkeys(modes))
+    for mode in modes:
+        if mode not in MODES:
+            raise ConfigError(f"unknown fusion mode {mode!r}")
+    if "predicted_cov" in modes and model is None:
         raise ConfigError("predicted_cov mode requires a trained model")
-    if mode == "fixed_cov" and fixed_cov is None:
+    if "fixed_cov" in modes and fixed_cov is None:
         raise ConfigError("fixed_cov mode requires an averaged dataset covariance")
     frames = sorted(set(int(f) for f in frames))
     if not frames:
@@ -165,33 +169,37 @@ def run_fusion(
 
     sig = setup.motion_sigmas()
     Q = np.diag(sig**2)
-    state = FusionState(sequence.pose(frames[0]), setup.init_cov * np.eye(6))
-    ids = [frames[0]]
-    out = [state.pose]
-    prev_truth = sequence.pose(frames[0])
+    start = FusionState(sequence.pose(frames[0]), setup.init_cov * np.eye(6))
+    states = dict.fromkeys(modes, start)
+    out = {mode: [start.pose] for mode in modes}
+    prev_truth = start.pose
     for k in frames[1:]:
         truth = sequence.pose(k)
         delta_true = se3.inverse(prev_truth) @ truth
         rng = np.random.default_rng(np.random.SeedSequence((seed, k)))
         eta = rng.normal(0.0, 1.0, 6) * sig
-        delta_meas = delta_true @ se3.exp(eta)
-        state = ekf_predict(state, MotionInput(delta_meas, Q))
+        motion = MotionInput(delta_true @ se3.exp(eta), Q)
 
         scan, local_map = setup.map.frame(sequence, k)
-        if align is None:
-            result = icp_point_to_plane(scan, local_map, state.pose, setup.icp, workers=workers)
-        else:
-            result = align(scan, local_map, state.pose, setup.icp)
+        index = NeighborIndex(local_map)
+        for mode in modes:
+            state = ekf_predict(states[mode], motion)
+            if align is None:
+                result = icp_point_to_plane(
+                    scan, local_map, state.pose, setup.icp, index=index, workers=workers
+                )
+            else:
+                result = align(scan, local_map, state.pose, setup.icp)
 
-        if mode == "icp_only":
-            state = FusionState(result.estimate, state.covariance)
-        else:
-            R = fixed_cov if mode == "fixed_cov" else predict(model, scan, setup.map.normal_k)
-            state = ekf_update(state, result.estimate, R)
-        ids.append(k)
-        out.append(state.pose)
+            if mode == "icp_only":
+                state = FusionState(result.estimate, state.covariance)
+            else:
+                R = fixed_cov if mode == "fixed_cov" else predict(model, scan, setup.map.normal_k)
+                state = ekf_update(state, result.estimate, R)
+            states[mode] = state
+            out[mode].append(state.pose)
         prev_truth = truth
-    return Trajectory(ids, out)
+    return {mode: Trajectory(list(frames), poses) for mode, poses in out.items()}
 
 
 def _check_pair(estimate: Trajectory, reference: Trajectory):

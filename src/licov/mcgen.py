@@ -13,7 +13,6 @@ floats with 17 significant digits. Lines starting with '#' are warnings.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -26,6 +25,7 @@ from .errors import (
     EmptyDataset,
     NoCorrespondences,
     TooFewValidSamples,
+    at_line,
 )
 from .icp import IcpConfig, icp_point_to_plane
 
@@ -188,15 +188,6 @@ def write_dataset(path, metadata: dict, records, skipped=()):
             f.write(",".join(row) + "\n")
 
 
-@contextmanager
-def _at_line(path, lineno):
-    """Report a ValueError inside the block as a DataError at path:lineno."""
-    try:
-        yield
-    except ValueError as e:
-        raise DataError(f"{path}:{lineno}: {e}") from None
-
-
 def read_dataset(path):
     """-> (metadata dict, list[CovRecord]); '#' lines are skipped."""
     with open(path, "r") as f:
@@ -204,7 +195,7 @@ def read_dataset(path):
     if not lines:
         raise DataError(f"{path}: empty file")
     tag = lines[0].split(",")
-    with _at_line(path, 1):
+    with at_line(path, 1):
         version = int(tag[1]) if len(tag) == 2 else None
     if tag[0] != FORMAT_TAG or version != FORMAT_VERSION:
         raise DataError(f"{path}: unrecognized format line {lines[0]!r}")
@@ -215,7 +206,7 @@ def read_dataset(path):
         for pair in lines[1].split(","):
             key, _, value = pair.partition("=")
             metadata[key] = value
-    with _at_line(path, 2):
+    with at_line(path, 2):
         seed = int(metadata.get("seed", 0))
     records = []
     for lineno, ln in enumerate(lines[2:], start=3):
@@ -224,12 +215,15 @@ def read_dataset(path):
         row = ln.split(",")
         if len(row) != 30:
             raise DataError(f"{path}:{lineno}: record has {len(row)} fields, expected 30")
-        with _at_line(path, lineno):
+        with at_line(path, lineno):
+            cov = [float(x) for x in row[3:24]]
+            if not np.isfinite(cov).all():
+                raise ValueError("non-finite covariance entry")
             records.append(
                 CovRecord(
                     frame_id=int(row[0]),
                     n=int(row[1]),
-                    covariance=unpack_upper([float(x) for x in row[3:24]]),
+                    covariance=unpack_upper(cov),
                     seed=seed,
                     diverged_count=int(row[2]),
                     mean_twist=np.array([float(x) for x in row[24:30]]),

@@ -321,49 +321,54 @@ def train(samples, config: TrainConfig = TrainConfig(), normal_k: int = 10,
     model = RegressionModel(feat_mean, feat_scale, w1, b1, w2, b2)
 
     losses = []
-    for step in range(config.steps):
-        idx = _weighted_indices(records, config.batch_size, rng_batch)
-        g_w1 = np.zeros_like(model.w1)
-        g_b1 = np.zeros_like(model.b1)
-        g_w2 = np.zeros_like(model.w2)
-        g_b2 = np.zeros_like(model.b2)
-        total = 0.0
-        for i in idx:
-            rec = records[i]
-            if config.augment:
-                scan_a, label = augment_sample(
-                    scans[i], rec.covariance, rng_aug, config.augment_xy, config.augment_yaw_deg
-                )
-                f = base_feats[i] if scan_a is scans[i] else extract_features(scan_a, normal_k)
-            else:
-                f, label = base_feats[i], rec.covariance
-            if config.label_floor > 0.0:
-                label = label + config.label_floor * np.eye(6)
-            f_n = (f - model.feat_mean) / model.feat_scale
-            h = np.tanh(model.w1 @ f_n + model.b1)
-            raw = model.w2 @ h + model.b2
-            try:
-                loss, g_raw = head_loss_and_grad(
-                    raw, label, config.alpha, config.beta, config.huber_delta
-                )
-            except NumericError as e:
-                raise type(e)(f"training step {step + 1}: {e}") from e
-            total += loss
-            g_w2 += np.outer(g_raw, h)
-            g_b2 += g_raw
-            dz = (1.0 - h * h) * (model.w2.T @ g_raw)
-            g_w1 += np.outer(dz, f_n)
-            g_b1 += dz
-        if not np.isfinite(total):
-            raise NumericError(f"training step {step + 1}: loss is not finite")
-        k = float(len(idx))
-        model.w1 -= config.learning_rate * g_w1 / k
-        model.b1 -= config.learning_rate * g_b1 / k
-        model.w2 -= config.learning_rate * g_w2 / k
-        model.b2 -= config.learning_rate * g_b2 / k
-        losses.append(total / k)
-        if progress:
-            progress(step, losses[-1])
+    # A diverging step overflows on its way to a non-finite loss or
+    # prediction; the checks below report that once, as NumericError,
+    # so numpy's floating-point warnings are silenced here.
+    with np.errstate(all="ignore"):
+        for step in range(config.steps):
+            idx = _weighted_indices(records, config.batch_size, rng_batch)
+            g_w1 = np.zeros_like(model.w1)
+            g_b1 = np.zeros_like(model.b1)
+            g_w2 = np.zeros_like(model.w2)
+            g_b2 = np.zeros_like(model.b2)
+            total = 0.0
+            for i in idx:
+                rec = records[i]
+                if config.augment:
+                    scan_a, label = augment_sample(
+                        scans[i], rec.covariance, rng_aug,
+                        config.augment_xy, config.augment_yaw_deg,
+                    )
+                    f = base_feats[i] if scan_a is scans[i] else extract_features(scan_a, normal_k)
+                else:
+                    f, label = base_feats[i], rec.covariance
+                if config.label_floor > 0.0:
+                    label = label + config.label_floor * np.eye(6)
+                f_n = (f - model.feat_mean) / model.feat_scale
+                h = np.tanh(model.w1 @ f_n + model.b1)
+                raw = model.w2 @ h + model.b2
+                try:
+                    loss, g_raw = head_loss_and_grad(
+                        raw, label, config.alpha, config.beta, config.huber_delta
+                    )
+                except NumericError as e:
+                    raise type(e)(f"training step {step + 1}: {e}") from e
+                total += loss
+                g_w2 += np.outer(g_raw, h)
+                g_b2 += g_raw
+                dz = (1.0 - h * h) * (model.w2.T @ g_raw)
+                g_w1 += np.outer(dz, f_n)
+                g_b1 += dz
+            if not np.isfinite(total):
+                raise NumericError(f"training step {step + 1}: loss is not finite")
+            k = float(len(idx))
+            model.w1 -= config.learning_rate * g_w1 / k
+            model.b1 -= config.learning_rate * g_b1 / k
+            model.w2 -= config.learning_rate * g_w2 / k
+            model.b2 -= config.learning_rate * g_b2 / k
+            losses.append(total / k)
+            if progress:
+                progress(step, losses[-1])
     return model, losses
 
 
@@ -405,12 +410,18 @@ def load_model(path):
         kv[key] = value
     if kv.get("feature_spec") != feature_spec_hash():
         raise DataError(f"{path}: feature spec mismatch, model is incompatible")
-    dims = tuple(int(x) for x in kv["dims"].split(","))
+
+    def field(key):
+        if key not in kv:
+            raise DataError(f"{path}: missing key {key!r}")
+        return kv[key]
+
+    dims = tuple(int(x) for x in field("dims").split(","))
     if dims != (FEATURE_DIM, HIDDEN_DIM, RAW_DIM):
         raise DataError(f"{path}: unsupported layer dims {dims}")
 
     def vec(key):
-        return np.array([float(x) for x in kv[key].split()])
+        return np.array([float(x) for x in field(key).split()])
 
     model = RegressionModel(
         vec("feat_mean"), vec("feat_scale"),

@@ -58,13 +58,6 @@ class SE3:
     def identity() -> "SE3":
         return SE3(np.eye(3), np.zeros(3))
 
-    @staticmethod
-    def from_matrix(m) -> "SE3":
-        m = np.asarray(m, dtype=float)
-        if m.shape != (4, 4):
-            raise ValueError("homogeneous matrix must be 4x4")
-        return SE3(m[:3, :3], m[:3, 3])
-
     def matrix(self) -> np.ndarray:
         m = np.eye(4)
         m[:3, :3] = self.R

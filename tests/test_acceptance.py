@@ -248,10 +248,10 @@ def test_acceptance_07_fusion_mode_ordering(tmp_path):
     modes = ("icp_only", "fixed_cov", "predicted_cov")
     ades = {m: [] for m in modes}
     for s in range(20):
+        trajs = run_fusion(cor, frames, modes, setup, model=model,
+                           fixed_cov=fixed, seed=100 + s)
         for mode in modes:
-            traj = run_fusion(cor, frames, mode, setup, model=model,
-                              fixed_cov=fixed, seed=100 + s)
-            ades[mode].append(ade(traj, truth))
+            ades[mode].append(ade(trajs[mode], truth))
     wins_pf = sum(p < f for p, f in zip(ades["predicted_cov"], ades["fixed_cov"]))
     wins_fi = sum(f < i for f, i in zip(ades["fixed_cov"], ades["icp_only"]))
     p_pf = binom_tail(wins_pf, 20)

@@ -2,16 +2,18 @@
 import os
 import re
 import shutil
+import warnings
 
 import numpy as np
 import pytest
 
-from licov import cli, metrics
+from licov import cli, cloud, metrics
 from licov.cloud import load_kitti_poses, load_kitti_scan, voxel_downsample
+from licov.errors import NumericError
 from licov.features import extract_features
 from licov.fusion import read_trajectory
 from licov.mcgen import CovRecord, read_dataset, write_dataset
-from licov.model import load_model, params_to_cov, predict
+from licov.model import TrainConfig, load_model, params_to_cov, predict, train
 from licov.scenes import make_synthetic_scene
 
 COMMON = [
@@ -147,6 +149,54 @@ class TestDataErrors:
         assert err.startswith(f"data error: {path}:{line}: ")
         assert err.count("\n") == 1
 
+    def _bad_poses(self, tmp, ws, _):
+        out = tmp / "kitti"
+        assert cli.main(["synth", "--set", "sequence.scene=plane", "--set", "sequence.density=1",
+                         "--set", "sequence.n_frames=2", "--set", f"paths.out_dir={out}"]) == 0
+        poses = out / "poses.txt"
+        lines = poses.read_text().splitlines()
+        lines[1] = "abc " + lines[1].split(" ", 1)[1]
+        poses.write_text("\n".join(lines) + "\n")
+        argv = ["generate", "--set", "sequence.kind=kitti",
+                "--set", f"sequence.scan_dir={out / 'scans'}",
+                "--set", f"sequence.pose_file={poses}"]
+        return argv, f"{poses}:2: "
+
+    def _cut_model(self, tmp, ws, keep):
+        model = tmp / "cut.txt"
+        lines = (ws["root"] / "model.txt").read_text().splitlines()
+        model.write_text("\n".join(lines[:keep]) + "\n")
+        argv = ["eval", *COMMON, "--set", f"paths.dataset={ws['root'] / 'train_ds.csv'}",
+                "--set", f"paths.model={model}", "--set", f"paths.report={tmp / 'r.txt'}"]
+        return argv, f"{model}: missing key "
+
+    def _non_finite_label(self, tmp, ws, text):
+        path = tmp / "ds.csv"
+        handcrafted_dataset(path)
+        lines = path.read_text().splitlines()
+        row = lines[3].split(",")
+        row[5] = text
+        lines[3] = ",".join(row)
+        path.write_text("\n".join(lines) + "\n")
+        return ["train", *COMMON, *TRAIN, "--set", f"paths.dataset={path}"], f"{path}:4: "
+
+    # one corrupted input per reader: exit 2, one line naming the file
+    @pytest.mark.parametrize("corrupt, arg", [
+        ("_bad_poses", None),
+        ("_cut_model", 2),
+        ("_cut_model", 6),
+        ("_non_finite_label", "nan"),
+        ("_non_finite_label", "-inf"),
+    ], ids=["pose_non_numeric", "model_cut_after_line_2", "model_cut_after_line_6",
+            "dataset_nan_covariance", "dataset_inf_covariance"])
+    def test_corrupt_input_is_a_data_error(self, ws, tmp_path, capsys, corrupt, arg):
+        argv, where = getattr(self, corrupt)(tmp_path, ws, arg)
+        capsys.readouterr()
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {where}")
+        assert err.count("\n") == 1
+
     def test_header_only_dataset(self, ws):
         empty = ws["root"] / "empty.csv"
         write_dataset(empty, {}, [])
@@ -176,6 +226,17 @@ class TestNumericErrors:
         err = capsys.readouterr().err
         assert re.fullmatch(r"numeric error: training step \d+: .*non-finite entries\n", err)
         assert not model.exists()
+
+    def test_training_blow_up_raises_no_warning(self, ws):
+        # the same divergence, with every numpy warning turned into an error:
+        # the finite checks must be what stops training
+        _, recs = read_dataset(ws["root"] / "ds.csv")
+        seq = make_synthetic_scene("room", density=4, n_frames=4, seed=11)
+        samples = [(r, voxel_downsample(seq.scan(r.frame_id), 0.3)) for r in recs]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="training step"):
+                train(samples, TrainConfig(steps=60, batch_size=4))
 
 
 class TestSynth:
@@ -365,6 +426,21 @@ class TestFuse:
         assert "icp_only" in capsys.readouterr().out
         assert (tmp_path / "trajectory_icp_only.txt").exists()
         assert not (tmp_path / "trajectory_fixed_cov.txt").exists()
+
+    def test_all_modes_build_each_map_once(self, ws, monkeypatch):
+        built = []
+        real = cloud.build_local_map
+
+        def spy(scans, poses, k, setup):
+            built.append(k)
+            return real(scans, poses, k, setup)
+
+        monkeypatch.setattr(cloud, "build_local_map", spy)
+        monkeypatch.chdir(ws["root"])
+        assert cli.main(["fuse", *COMMON,
+                         "--set", "paths.dataset=train_ds.csv", "--set", "paths.model=model.txt",
+                         "--set", "paths.out_dir=fuse_once", "--set", "fusion.seed=3"]) == 0
+        assert built == [1, 2, 3]
 
     def test_predicted_mode_requires_model_file(self, ws):
         rc = cli.main(["fuse", *COMMON,

@@ -89,7 +89,52 @@ class TestPoseIO:
         assert len(load_kitti_poses(path)) == 1
 
 
+def reference_voxel_downsample(pts, voxel_size):
+    """The row-key voxel filter: np.unique over the (N, 3) integer keys,
+    centroid sums by np.add.at. voxel_downsample must match it bit for bit."""
+    keys = np.floor(pts / voxel_size).astype(np.int64)
+    uniq, inv = np.unique(keys, axis=0, return_inverse=True)
+    inv = inv.reshape(-1)
+    sums = np.zeros((uniq.shape[0], 3))
+    np.add.at(sums, inv, pts)
+    counts = np.bincount(inv, minlength=uniq.shape[0]).astype(float)
+    return sums / counts[:, None]
+
+
+# Spans of a grid with exactly 2**63 - 1 cells (7^2 * 73 * 127, 337 * 92737,
+# 649657): the largest the packed key can hold.
+_MAX_GRID = (454279, 31252369, 649657)
+
+
 class TestVoxelDownsample:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_row_key_reference(self, seed):
+        rng = np.random.default_rng(1000 + seed)
+        n = int(np.exp(rng.uniform(0.0, np.log(20000.0))))
+        voxel = float(np.exp(rng.uniform(np.log(0.05), np.log(3.0))))
+        offset = rng.uniform(-500.0, 500.0, size=3)
+        spread = voxel * np.exp(rng.uniform(np.log(0.3), np.log(20.0), size=3))
+        pts = offset + rng.normal(size=(n, 3)) * spread
+        if seed % 4 == 0:
+            # points on voxel faces, where floor() decides the key
+            pts = np.round(pts / (0.5 * voxel)) * (0.5 * voxel)
+        out = voxel_downsample(PointCloud(pts), voxel)
+        assert out.points.tobytes() == reference_voxel_downsample(pts, voxel).tobytes()
+
+    def test_largest_packable_grid(self):
+        far = np.array(_MAX_GRID, dtype=float) - 0.5
+        pts = np.array([[0.5, 0.5, 0.5], far, far, [0.5, 0.5, 0.7]])
+        out = voxel_downsample(PointCloud(pts), 1.0)
+        assert out.points.tobytes() == reference_voxel_downsample(pts, 1.0).tobytes()
+
+    def test_grid_over_int64_cells_rejected(self):
+        nx, ny, nz = _MAX_GRID
+        far = [nx - 0.5, ny - 0.5, nz + 0.5]  # one more z layer: 2**63 - 1 + nx * ny cells
+        with pytest.raises(InvalidVoxelSize):
+            voxel_downsample(PointCloud([[0.5, 0.5, 0.5], far]), 1.0)
+        with pytest.raises(InvalidVoxelSize):
+            voxel_downsample(PointCloud([[-1e7, 0.0, 0.0], [1e7, 1e7, 1e7]]), 1e-5)
+
     def test_two_points_one_voxel_centroid(self):
         cloud = PointCloud([[0.1, 0, 0], [0.3, 0, 0]])
         out = voxel_downsample(cloud, 1.0)

@@ -228,13 +228,13 @@ class TestTrajectoryIO:
 class TestRunFusion:
     def test_mode_validation(self, small_room):
         with pytest.raises(ConfigError):
-            run_fusion(small_room, [0, 1], "kalman")
+            run_fusion(small_room, [0, 1], ("kalman",))
         with pytest.raises(ConfigError):
-            run_fusion(small_room, [0, 1], "predicted_cov")
+            run_fusion(small_room, [0, 1], ("icp_only", "predicted_cov"))
         with pytest.raises(ConfigError):
-            run_fusion(small_room, [0, 1], "fixed_cov")
+            run_fusion(small_room, [0, 1], ("fixed_cov",))
         with pytest.raises(EmptyTrajectory):
-            run_fusion(small_room, [], "icp_only")
+            run_fusion(small_room, [], ("icp_only",))
 
     def test_zero_noise_perfect_measurements(self, small_room):
         # with exact odometry the prediction already sits on the truth, so
@@ -251,7 +251,7 @@ class TestRunFusion:
             ("fixed_cov", {"fixed_cov": 1e-4 * np.eye(6)}),
             ("predicted_cov", {"model": constant_model(1e-4 * np.eye(6))}),
         ]:
-            traj = run_fusion(small_room, frames, mode, setup, align=passthrough, **kw)
+            traj = run_fusion(small_room, frames, (mode,), setup, align=passthrough, **kw)[mode]
             assert traj.frame_ids == frames
             assert ade(traj, truth) < 1e-9
 
@@ -262,13 +262,13 @@ class TestRunFusion:
         a = rng.normal(size=(6, 6)) * 0.1
         avg = a @ a.T * 1e-2 + 1e-3 * np.eye(6)
         fixed = run_fusion(
-            small_room, frames, "fixed_cov", setup, fixed_cov=avg, seed=3,
+            small_room, frames, ("fixed_cov",), setup, fixed_cov=avg, seed=3,
             align=truth_oracle(small_room, frames),
-        )
+        )["fixed_cov"]
         pred = run_fusion(
-            small_room, frames, "predicted_cov", setup, model=constant_model(avg),
+            small_room, frames, ("predicted_cov",), setup, model=constant_model(avg),
             seed=3, align=truth_oracle(small_room, frames),
-        )
+        )["predicted_cov"]
         assert fixed.frame_ids == pred.frame_ids
         assert np.allclose(
             fixed.translations(), pred.translations(), rtol=0, atol=1e-9
@@ -281,13 +281,13 @@ class TestRunFusion:
         setup = FusionSetup(map=MapSetup(1, 1, map_voxel=0.4, scan_voxel=0.3))
         truth = truth_trajectory(small_room, frames)
         tight = run_fusion(
-            small_room, frames, "fixed_cov", setup, fixed_cov=1e-8 * np.eye(6),
+            small_room, frames, ("fixed_cov",), setup, fixed_cov=1e-8 * np.eye(6),
             seed=3, align=truth_oracle(small_room, frames),
-        )
+        )["fixed_cov"]
         loose = run_fusion(
-            small_room, frames, "fixed_cov", setup, fixed_cov=1e2 * np.eye(6),
+            small_room, frames, ("fixed_cov",), setup, fixed_cov=1e2 * np.eye(6),
             seed=3, align=truth_oracle(small_room, frames),
-        )
+        )["fixed_cov"]
         assert ade(tight, truth) < 1e-4
         assert ade(loose, truth) > 1e-2
         assert ade(tight, truth) < ade(loose, truth)
@@ -296,9 +296,12 @@ class TestRunFusion:
         frames = list(range(4))
         setup = FusionSetup(map=MapSetup(1, 1, map_voxel=0.4, scan_voxel=0.3))
         passthrough = lambda source, target, initial, cfg: SimpleNamespace(estimate=initial)
-        a = run_fusion(small_room, frames, "icp_only", setup, seed=9, align=passthrough)
-        b = run_fusion(small_room, frames, "icp_only", setup, seed=9, align=passthrough)
-        c = run_fusion(small_room, frames, "icp_only", setup, seed=10, align=passthrough)
+
+        def run(seed):
+            return run_fusion(small_room, frames, ("icp_only",), setup, seed=seed,
+                              align=passthrough)["icp_only"]
+
+        a, b, c = run(9), run(9), run(10)
         assert np.array_equal(a.translations(), b.translations())
         assert not np.array_equal(a.translations(), c.translations())
 
@@ -306,12 +309,28 @@ class TestRunFusion:
         frames = list(range(5))
         setup = FusionSetup(map=MapSetup(1, 1, map_voxel=0.4, scan_voxel=0.3))
         truth = truth_trajectory(small_room, frames)
-        fused = run_fusion(
-            small_room, frames, "fixed_cov", setup, fixed_cov=1e-4 * np.eye(6), seed=3
+        trajs = run_fusion(
+            small_room, frames, ("fixed_cov", "icp_only"), setup,
+            fixed_cov=1e-4 * np.eye(6), seed=3,
         )
-        raw = run_fusion(small_room, frames, "icp_only", setup, seed=3)
-        assert ade(fused, truth) < 0.05
-        assert ade(raw, truth) < 0.05
+        assert ade(trajs["fixed_cov"], truth) < 0.05
+        assert ade(trajs["icp_only"], truth) < 0.05
+
+    def test_one_pass_matches_single_mode_runs(self, small_room):
+        # sharing each frame's scan, map and index across modes must not
+        # move a single pose bit against one call per mode
+        frames = list(range(5))
+        setup = FusionSetup(map=MapSetup(1, 1, map_voxel=0.4, scan_voxel=0.3))
+        kw = {"model": constant_model(3e-4 * np.eye(6)), "fixed_cov": 1e-4 * np.eye(6),
+              "seed": 3}
+        together = run_fusion(small_room, frames, MODES, setup, **kw)
+        assert list(together) == list(MODES)
+        for mode in MODES:
+            alone = run_fusion(small_room, frames, (mode,), setup, **kw)[mode]
+            assert together[mode].frame_ids == alone.frame_ids == frames
+            for a, b in zip(together[mode].poses, alone.poses):
+                assert np.array_equal(a.R, b.R)
+                assert np.array_equal(a.t, b.t)
 
     def test_predicted_cov_features_use_setup_normal_k(self, small_room, monkeypatch):
         seen = []
@@ -323,7 +342,7 @@ class TestRunFusion:
         monkeypatch.setattr(model_mod, "extract_features", spy)
         frames = list(range(3))
         setup = FusionSetup(map=MapSetup(1, 1, map_voxel=0.4, scan_voxel=0.3, normal_k=6))
-        run_fusion(small_room, frames, "predicted_cov", setup,
+        run_fusion(small_room, frames, ("predicted_cov",), setup,
                    model=constant_model(1e-4 * np.eye(6)), align=truth_oracle(small_room, frames))
         assert seen == [6, 6]
 
