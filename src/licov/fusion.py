@@ -21,6 +21,7 @@ from .errors import (
     EmptyTrajectory,
     FrameMismatch,
     NotPositiveDefinite,
+    at_line,
 )
 from .icp import IcpConfig, icp_point_to_plane
 from .model import predict
@@ -120,16 +121,17 @@ def write_trajectory(path, trajectory: Trajectory, header=None):
 def read_trajectory(path) -> Trajectory:
     frame_ids, poses = [], []
     with open(path, "r") as f:
-        for line in f:
+        for lineno, line in enumerate(f, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             parts = line.split()
             if len(parts) != 13:
-                raise DataError(f"{path}: expected 13 fields, got {len(parts)}")
-            m = np.array([float(x) for x in parts[1:]]).reshape(3, 4)
-            frame_ids.append(int(parts[0]))
-            poses.append(se3.SE3(m[:, :3], m[:, 3]))
+                raise DataError(f"{path}:{lineno}: expected 13 fields, got {len(parts)}")
+            with at_line(path, lineno):
+                m = np.array([float(x) for x in parts[1:]]).reshape(3, 4)
+                frame_ids.append(int(parts[0]))
+                poses.append(se3.SE3(m[:, :3], m[:, 3]))
     return Trajectory(frame_ids, poses)
 
 

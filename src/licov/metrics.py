@@ -41,7 +41,7 @@ def evaluate(predictions, labels) -> EvalReport:
         )
     if not predictions:
         raise EmptyEvaluation("nothing to evaluate")
-    kls = [loss_kl(p, l) for p, l in zip(predictions, labels)]
+    kls = loss_kl(np.array(predictions, dtype=float), np.array(labels, dtype=float))
     diffs = np.abs(
         np.array([pack_upper(p) - pack_upper(l) for p, l in zip(predictions, labels)])
     )

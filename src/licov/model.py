@@ -13,14 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg.lapack import dpotrs, dtrtrs
 from scipy.special import expit
 
 from . import se3
 from .cloud import PointCloud, estimate_normals, transform_cloud
 from .errors import DataError, EmptyDataset, NotPositiveDefinite, NumericError, TooFewPoints
 from .features import FEATURE_DIM, extract_features, feature_spec_hash
-from .mcgen import pack_upper
 
 RAW_DIM = 21
 HIDDEN_DIM = 64
@@ -42,8 +41,11 @@ LABEL_JITTER = 1e-10
 MODEL_TAG = "licov-model"
 MODEL_VERSION = 1
 
+_EYE = np.eye(6)
+_DIAG = np.arange(6)
 _TRIL_I, _TRIL_J = np.tril_indices(6, -1)
 _UP_I, _UP_J = np.triu_indices(6)
+_UP_FLAT = _UP_I * 6 + _UP_J
 
 
 def softplus(x):
@@ -58,19 +60,19 @@ def inv_softplus(y):
 
 
 def params_to_chol(raw) -> np.ndarray:
-    """21 raw values -> lower-triangular C with positive diagonal."""
-    raw = np.asarray(raw, dtype=float).reshape(RAW_DIM)
-    c = np.zeros((6, 6))
-    c[np.diag_indices(6)] = softplus(raw[:6]) + DIAG_FLOOR
-    c[_TRIL_I, _TRIL_J] = raw[6:]
+    """21 raw values -> lower-triangular C with positive diagonal, per row."""
+    raw = np.asarray(raw, dtype=float)
+    c = np.zeros(raw.shape[:-1] + (6, 6))
+    c[..., _DIAG, _DIAG] = softplus(raw[..., :6]) + DIAG_FLOOR
+    c[..., _TRIL_I, _TRIL_J] = raw[..., 6:]
     return c
 
 
 def _assemble_cov(c) -> np.ndarray:
-    y = c @ c.T
-    y = 0.5 * (y + y.T)
-    shift = EIG_JITTER + EIG_JITTER_REL * float(np.max(np.diag(y)))
-    return y + shift * np.eye(6)
+    y = c @ np.swapaxes(c, -1, -2)
+    y = 0.5 * (y + np.swapaxes(y, -1, -2))
+    shift = EIG_JITTER + EIG_JITTER_REL * np.max(np.diagonal(y, 0, -2, -1), axis=-1)
+    return y + np.multiply.outer(shift, _EYE)
 
 
 def params_to_cov(raw) -> np.ndarray:
@@ -91,93 +93,97 @@ def cov_to_params(cov) -> np.ndarray:
 
 
 def regularize_label(cov) -> np.ndarray:
-    """Shift near-singular labels so the KL reference is invertible."""
+    """Shift near-singular labels, item by item, so the KL reference is invertible."""
     cov = np.asarray(cov, dtype=float)
-    if np.linalg.eigvalsh(cov)[0] < LABEL_EIG_MIN:
-        return cov + LABEL_JITTER * np.eye(6)
-    return cov
+    low = np.linalg.eigvalsh(cov)[..., :1, None] < LABEL_EIG_MIN
+    return np.where(low, cov + LABEL_JITTER * _EYE, cov)
 
 
-def _chol_or_raise(mat, what):
-    if not np.isfinite(mat).all():
+def _factor(mats, what):
+    """Cholesky factors of a (B,6,6) stack and their inverses, by the
+    potrs call of cho_solve per item."""
+    if not np.isfinite(mats).all():
         raise NumericError(f"{what} has non-finite entries")
     try:
-        return np.linalg.cholesky(mat)
+        L = np.linalg.cholesky(mats)
     except np.linalg.LinAlgError:
         raise NotPositiveDefinite(f"{what} is not positive definite")
+    return L, np.stack([dpotrs(l, _EYE, lower=1)[0] for l in L])
 
 
-def loss_kl(y_hat, y_bar, regularize: bool = True) -> float:
-    """KL divergence of N(0, y_hat) from N(0, y_bar).
-
-    0.5 * (tr(y_bar^-1 y_hat) - 6 + ln det y_bar - ln det y_hat), computed
-    with Cholesky solves and log-determinants, no explicit inverses.
-    """
-    y_hat = np.asarray(y_hat, dtype=float)
-    y_bar = np.asarray(y_bar, dtype=float)
-    if regularize:
-        y_bar = regularize_label(y_bar)
-    return _kl_and_factors(y_hat, y_bar)[0]
-
-
-def _kl_and_factors(y_hat, y_bar):
-    """KL of N(0, y_hat) from N(0, y_bar) plus the Cholesky factors
-    (L_bar, L_hat); y_bar must already be regularized."""
-    L_bar = _chol_or_raise(y_bar, "KL reference covariance")
-    L_hat = _chol_or_raise(y_hat, "KL predicted covariance")
-    # tr(y_bar^-1 y_hat) = || L_bar^-1 L_hat ||_F^2
-    M = solve_triangular(L_bar, L_hat, lower=True)
-    trace = float((M * M).sum())
-    logdet_bar = 2.0 * float(np.log(np.diag(L_bar)).sum())
-    logdet_hat = 2.0 * float(np.log(np.diag(L_hat)).sum())
-    return 0.5 * (trace - 6.0 + logdet_bar - logdet_hat), L_bar, L_hat
+def _kl_half(y_hat, y_bar, ref=None, regularize: bool = True):
+    """KL of N(0, y_hat) from N(0, y_bar), 0.5 * (tr(y_bar^-1 y_hat) - 6 +
+    ln det y_bar - ln det y_hat), per item of (B,6,6) stacks, and its y_hat
+    gradient 0.5 * (y_bar^-1 - y_hat^-1); `ref` is y_bar's _factor if known."""
+    try:
+        L_bar, inv_bar = ref or _factor(
+            regularize_label(y_bar) if regularize else y_bar, "KL reference covariance")
+        L_hat, inv_hat = _factor(y_hat, "KL predicted covariance")
+    except (NumericError, np.linalg.LinAlgError):
+        if len(y_hat) > 1:  # raise what the lowest bad item raises alone
+            for b in range(len(y_hat)):
+                _kl_half(y_hat[b:b + 1], y_bar[b:b + 1], regularize=regularize)
+        raise
+    # tr(y_bar^-1 y_hat) = || L_bar^-1 L_hat ||_F^2 by the trtrs call of
+    # solve_triangular, each item summed in that call's memory order
+    trace = np.array([(m * m).sum() for m in (
+        dtrtrs(lb.T, lh, lower=0, trans=1)[0] for lb, lh in zip(L_bar, L_hat))])
+    logdet_bar = 2.0 * np.log(np.diagonal(L_bar, 0, 1, 2)).sum(axis=1)
+    logdet_hat = 2.0 * np.log(np.diagonal(L_hat, 0, 1, 2)).sum(axis=1)
+    return 0.5 * (trace - 6.0 + logdet_bar - logdet_hat), 0.5 * (inv_bar - inv_hat)
 
 
-def _huber_scalar(d, delta):
+def _huber_half(y_hat, y_bar, delta):
+    """Huber penalty over the 21 upper-triangle differences per item of
+    (B,6,6) stacks, and its slope laid out in the upper triangle."""
+    # np.take keeps each row contiguous, so it sums like one packed item
+    d = np.take((y_hat - y_bar).reshape(-1, 36), _UP_FLAT, axis=1)
     a = np.abs(d)
-    return np.where(a <= delta, 0.5 * d * d, delta * (a - 0.5 * delta))
+    hub = np.where(a <= delta, 0.5 * d * d, delta * (a - 0.5 * delta)).sum(axis=1)
+    slope = np.zeros(y_hat.shape)
+    slope[:, _UP_I, _UP_J] = np.where(a <= delta, d, delta * np.sign(d))
+    return hub, slope
+
+
+def _stack(mats) -> np.ndarray:
+    return np.asarray(mats, dtype=float).reshape(-1, 6, 6)
+
+
+def loss_kl(y_hat, y_bar, regularize: bool = True):
+    """KL divergence of N(0, y_hat) from N(0, y_bar), the KL half of the
+    head kernel: a (6,6) pair gives a float, (B,6,6) stacks a (B,) array."""
+    kl = _kl_half(_stack(y_hat), _stack(y_bar), regularize=regularize)[0]
+    return float(kl[0]) if np.ndim(y_hat) == 2 else kl
 
 
 def loss_huber(y_hat, y_bar, delta: float = 1e-3) -> float:
-    """Huber penalty summed over the 21 upper-triangle differences."""
+    """Huber penalty over the 21 upper-triangle differences, the kernel's Huber half."""
     if delta <= 0:
         raise ValueError("delta must be positive")
-    d = pack_upper(y_hat) - pack_upper(y_bar)
-    return float(_huber_scalar(d, delta).sum())
+    return float(_huber_half(_stack(y_hat), _stack(y_bar), delta)[0][0])
 
 
-def _combined_grad_y(y_hat, y_bar, alpha, beta, delta):
-    """Loss value and its gradient with respect to the full matrix y_hat."""
-    kl, L_bar, L_hat = _kl_and_factors(y_hat, regularize_label(y_bar))
-    eye = np.eye(6)
-    inv_bar = cho_solve((L_bar, True), eye)
-    inv_hat = cho_solve((L_hat, True), eye)
-    g_kl = 0.5 * (inv_bar - inv_hat)
-
-    d = pack_upper(y_hat) - pack_upper(np.asarray(y_bar, dtype=float))
-    hub = float(_huber_scalar(d, delta).sum())
-    slope = np.where(np.abs(d) <= delta, d, delta * np.sign(d))
-    g_hub = np.zeros((6, 6))
-    g_hub[_UP_I, _UP_J] = slope
-
-    loss = alpha * kl + beta * hub
-    grad = alpha * g_kl + beta * 0.5 * (g_hub + g_hub.T)
-    return loss, grad
-
-
-def head_loss_and_grad(raw, y_bar, alpha=0.1, beta=0.9, delta=1e-3):
-    """Combined loss at params_to_cov(raw) and its analytic 21-gradient."""
-    raw = np.asarray(raw, dtype=float).reshape(RAW_DIM)
+def head_loss_and_grad(raw, y_bar, alpha=0.1, beta=0.9, delta=1e-3, ref=None):
+    """Combined loss at params_to_cov(raw) and its analytic 21-gradient:
+    raw (B,21) and labels (B,6,6) give (B,) losses and (B,21) gradients, a
+    (21,) raw and a (6,6) label a float and a (21,). `ref` is the labels'
+    regularized (Cholesky factors, inverses) when the caller has them."""
+    single = np.ndim(raw) == 1
+    raw = np.asarray(raw, dtype=float).reshape(-1, RAW_DIM)
+    y_bar = _stack(y_bar)
     c = params_to_chol(raw)
     y = _assemble_cov(c)
-    loss, g_y = _combined_grad_y(y, y_bar, alpha, beta, delta)
+    kl, g_kl = _kl_half(y, y_bar, ref)
+    hub, g_hub = _huber_half(y, y_bar, delta)
+    loss = alpha * kl + beta * hub
+    g_y = alpha * g_kl + beta * 0.5 * (g_hub + np.swapaxes(g_hub, 1, 2))
     # y = sym(C C^T) + shift, g_y symmetric: dL/dC = 2 g_y C; the shift's
     # own dependence on C is ~1e-13 relative and deliberately dropped.
     g_c = 2.0 * (g_y @ c)
-    grad = np.zeros(RAW_DIM)
-    grad[:6] = np.diag(g_c) * expit(raw[:6])
-    grad[6:] = g_c[_TRIL_I, _TRIL_J]
-    return loss, grad
+    grad = np.empty_like(raw)
+    grad[:, :6] = np.diagonal(g_c, 0, 1, 2) * expit(raw[:, :6])
+    grad[:, 6:] = g_c[:, _TRIL_I, _TRIL_J]
+    return (float(loss[0]), grad[0]) if single else (loss, grad)
 
 
 @dataclass(frozen=True)
@@ -248,19 +254,19 @@ def predict(model: RegressionModel, scan: PointCloud, normal_k: int = 10) -> np.
     return params_to_cov(model.forward(extract_features(scan, normal_k)))
 
 
-def _weighted_indices(records, batch_size: int, rng) -> np.ndarray:
+def _sampling_p(records):
     if not records:
         raise EmptyDataset("cannot sample from an empty record set")
     w = np.array([np.abs(r.covariance).max() for r in records], dtype=float)
     total = w.sum()
-    p = None if total <= 0 else w / total
-    return rng.choice(len(records), size=batch_size, replace=True, p=p)
+    return None if total <= 0 else w / total
 
 
 def weighted_sample(records, batch_size: int, rng) -> list:
     """Draw with replacement, weight per record = max |covariance entry|;
     uniform when every weight is zero."""
-    return [records[i] for i in _weighted_indices(records, batch_size, rng)]
+    idx = rng.choice(len(records), size=batch_size, replace=True, p=_sampling_p(records))
+    return [records[i] for i in idx]
 
 
 def augment_sample(scan: PointCloud, cov, rng, xy_range: float = 2.0,
@@ -292,18 +298,30 @@ def train(samples, config: TrainConfig = TrainConfig(), normal_k: int = 10,
     weight init, batch sampling, and augmentation each get their own
     substream so turning augmentation off (or zeroing its ranges) leaves
     the sampled batches unchanged. Scan normals are estimated once up
-    front so augmented feature extraction only rotates them.
+    front so augmented feature extraction only rotates them. Each step
+    runs its batch through the network and one head kernel call, with
+    sums in sample order: the bytes of a sample-at-a-time loop.
     """
     if not samples:
         raise EmptyDataset("training needs at least one labeled sample")
     records = [rec for rec, _ in samples]
     scans = [_with_normals(scan, normal_k) for _, scan in samples]
-    base_feats = [extract_features(s, normal_k) for s in scans]
-
-    feats = np.asarray(base_feats)
+    feats = np.asarray([extract_features(s, normal_k) for s in scans])
     feat_mean = feats.mean(axis=0)
     feat_scale = feats.std(axis=0)
     feat_scale[feat_scale < 1e-12] = 1.0
+
+    def floored(labels):
+        return labels + config.label_floor * _EYE if config.label_floor > 0.0 else labels
+
+    if not config.augment:
+        # fixed labels: floor, regularize and factor each record once; an
+        # unusable label fails in the first step that draws it
+        labels = floored(np.array([rec.covariance for rec in records], dtype=float))
+        try:
+            refs = _factor(regularize_label(labels), "KL reference covariance")
+        except (NumericError, np.linalg.LinAlgError):
+            refs = None
 
     rng_init = np.random.default_rng(np.random.SeedSequence((config.seed, 0)))
     rng_batch = np.random.default_rng(np.random.SeedSequence((config.seed, 1)))
@@ -325,42 +343,39 @@ def train(samples, config: TrainConfig = TrainConfig(), normal_k: int = 10,
     # prediction; the checks below report that once, as NumericError,
     # so numpy's floating-point warnings are silenced here.
     with np.errstate(all="ignore"):
+        p = _sampling_p(records)
         for step in range(config.steps):
-            idx = _weighted_indices(records, config.batch_size, rng_batch)
-            g_w1 = np.zeros_like(model.w1)
-            g_b1 = np.zeros_like(model.b1)
-            g_w2 = np.zeros_like(model.w2)
-            g_b2 = np.zeros_like(model.b2)
+            idx = rng_batch.choice(len(records), size=config.batch_size, replace=True, p=p)
+            if config.augment:
+                draws = [augment_sample(scans[i], records[i].covariance, rng_aug,
+                                        config.augment_xy, config.augment_yaw_deg) for i in idx]
+                f = np.array([feats[i] if scan is scans[i] else extract_features(scan, normal_k)
+                              for i, (scan, _) in zip(idx, draws)])
+                y_bar, ref = floored(np.array([label for _, label in draws])), None
+            else:
+                f, y_bar = feats[idx], labels[idx]
+                ref = None if refs is None else (refs[0][idx], refs[1][idx])
+            # per-item matrix-vector products, the BLAS calls of one sample
+            f_n = (f - model.feat_mean) / model.feat_scale
+            h = np.tanh((model.w1 @ f_n[:, :, None])[:, :, 0] + model.b1)
+            raw = (model.w2 @ h[:, :, None])[:, :, 0] + model.b2
+            try:
+                loss, g_raw = head_loss_and_grad(
+                    raw, y_bar, config.alpha, config.beta, config.huber_delta, ref
+                )
+            except NumericError as e:
+                raise type(e)(f"training step {step + 1}: {e}") from e
             total = 0.0
-            for i in idx:
-                rec = records[i]
-                if config.augment:
-                    scan_a, label = augment_sample(
-                        scans[i], rec.covariance, rng_aug,
-                        config.augment_xy, config.augment_yaw_deg,
-                    )
-                    f = base_feats[i] if scan_a is scans[i] else extract_features(scan_a, normal_k)
-                else:
-                    f, label = base_feats[i], rec.covariance
-                if config.label_floor > 0.0:
-                    label = label + config.label_floor * np.eye(6)
-                f_n = (f - model.feat_mean) / model.feat_scale
-                h = np.tanh(model.w1 @ f_n + model.b1)
-                raw = model.w2 @ h + model.b2
-                try:
-                    loss, g_raw = head_loss_and_grad(
-                        raw, label, config.alpha, config.beta, config.huber_delta
-                    )
-                except NumericError as e:
-                    raise type(e)(f"training step {step + 1}: {e}") from e
-                total += loss
-                g_w2 += np.outer(g_raw, h)
-                g_b2 += g_raw
-                dz = (1.0 - h * h) * (model.w2.T @ g_raw)
-                g_w1 += np.outer(dz, f_n)
-                g_b1 += dz
+            for value in loss.tolist():
+                total += value
             if not np.isfinite(total):
                 raise NumericError(f"training step {step + 1}: loss is not finite")
+            # Sample-order sums, each starting from 0.0 as a running total.
+            dz = (1.0 - h * h) * (model.w2.T @ g_raw[:, :, None])[:, :, 0]
+            g_w1 = np.add.reduce(dz[:, :, None] * f_n[:, None, :], axis=0, initial=0.0)
+            g_b1 = np.add.reduce(dz, axis=0, initial=0.0)
+            g_w2 = np.add.reduce(g_raw[:, :, None] * h[:, None, :], axis=0, initial=0.0)
+            g_b2 = np.add.reduce(g_raw, axis=0, initial=0.0)
             k = float(len(idx))
             model.w1 -= config.learning_rate * g_w1 / k
             model.b1 -= config.learning_rate * g_b1 / k
@@ -411,21 +426,21 @@ def load_model(path):
     if kv.get("feature_spec") != feature_spec_hash():
         raise DataError(f"{path}: feature spec mismatch, model is incompatible")
 
-    def field(key):
+    def vec(key, *shape, parse=float, sep=None):
         if key not in kv:
             raise DataError(f"{path}: missing key {key!r}")
-        return kv[key]
+        try:
+            return np.array([parse(x) for x in kv[key].split(sep)]).reshape(shape)
+        except ValueError as e:
+            raise DataError(f"{path}: key {key!r}: {e}") from None
 
-    dims = tuple(int(x) for x in field("dims").split(","))
+    dims = tuple(vec("dims", 3, parse=int, sep=",").tolist())
     if dims != (FEATURE_DIM, HIDDEN_DIM, RAW_DIM):
         raise DataError(f"{path}: unsupported layer dims {dims}")
-
-    def vec(key):
-        return np.array([float(x) for x in field(key).split()])
-
     model = RegressionModel(
-        vec("feat_mean"), vec("feat_scale"),
-        vec("w1"), vec("b1"), vec("w2"), vec("b2"),
+        vec("feat_mean", FEATURE_DIM), vec("feat_scale", FEATURE_DIM),
+        vec("w1", HIDDEN_DIM, FEATURE_DIM), vec("b1", HIDDEN_DIM),
+        vec("w2", RAW_DIM, HIDDEN_DIM), vec("b2", RAW_DIM),
     )
     info = {k: v for k, v in kv.items() if k.startswith(("train_", "cfg_"))}
     return model, info

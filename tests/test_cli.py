@@ -1,6 +1,5 @@
 """End-to-end command-line coverage for every subcommand and exit code."""
 import os
-import re
 import shutil
 import warnings
 
@@ -170,6 +169,16 @@ class TestDataErrors:
                 "--set", f"paths.model={model}", "--set", f"paths.report={tmp / 'r.txt'}"]
         return argv, f"{model}: missing key "
 
+    def _edit_model(self, tmp, ws, edit):
+        key, value = edit
+        model = tmp / "edited.txt"
+        lines = [f"{key}={value}" if ln.startswith(f"{key}=") else ln
+                 for ln in (ws["root"] / "model.txt").read_text().splitlines()]
+        model.write_text("\n".join(lines) + "\n")
+        argv = ["eval", *COMMON, "--set", f"paths.dataset={ws['root'] / 'train_ds.csv'}",
+                "--set", f"paths.model={model}", "--set", f"paths.report={tmp / 'r.txt'}"]
+        return argv, f"{model}: key {key!r}"
+
     def _non_finite_label(self, tmp, ws, text):
         path = tmp / "ds.csv"
         handcrafted_dataset(path)
@@ -187,8 +196,11 @@ class TestDataErrors:
         ("_cut_model", 6),
         ("_non_finite_label", "nan"),
         ("_non_finite_label", "-inf"),
+        ("_edit_model", ("b1", "zz")),
+        ("_edit_model", ("b1", "0 0")),
     ], ids=["pose_non_numeric", "model_cut_after_line_2", "model_cut_after_line_6",
-            "dataset_nan_covariance", "dataset_inf_covariance"])
+            "dataset_nan_covariance", "dataset_inf_covariance",
+            "model_non_numeric_weight", "model_wrong_length_vector"])
     def test_corrupt_input_is_a_data_error(self, ws, tmp_path, capsys, corrupt, arg):
         argv, where = getattr(self, corrupt)(tmp_path, ws, arg)
         capsys.readouterr()
@@ -224,7 +236,8 @@ class TestNumericErrors:
                        "--set", f"paths.model={model}"])
         assert rc == 3
         err = capsys.readouterr().err
-        assert re.fullmatch(r"numeric error: training step \d+: .*non-finite entries\n", err)
+        assert err == ("numeric error: training step 19: "
+                       "KL predicted covariance has non-finite entries\n")
         assert not model.exists()
 
     def test_training_blow_up_raises_no_warning(self, ws):

@@ -1,4 +1,5 @@
 """Tangent-space EKF steps, fusion modes, and trajectory metrics."""
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -217,6 +218,15 @@ class TestTrajectoryIO:
         text = path.read_text()
         assert text.startswith("# licov-trajectory,1\n")
         assert "# mode=icp_only" in text
+
+    def test_non_numeric_value_names_the_line(self, tmp_path):
+        path = tmp_path / "traj.txt"
+        write_trajectory(path, Trajectory([0, 1], [se3.SE3.identity()] * 2))
+        lines = path.read_text().splitlines()
+        lines[2] = lines[2].replace("0", "x", 1)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}:3: could not convert"):
+            read_trajectory(path)
 
     def test_bad_field_count(self, tmp_path):
         path = tmp_path / "traj.txt"

@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve, solve_triangular
+from scipy.special import expit
 
 from licov import model as model_mod
 from licov import se3
 from licov.cloud import PointCloud
 from licov.errors import DataError, EmptyDataset, NotPositiveDefinite, NumericError
 from licov.mcgen import CovRecord, pack_upper
+from licov.features import extract_features
 from licov.model import (
     DIAG_FLOOR,
     RegressionModel,
@@ -554,7 +557,7 @@ class TestTraining:
 
         def fails_in_step_three(raw, *args):
             calls.append(raw)
-            if len(calls) > 4:
+            if len(calls) > 2:
                 raise NotPositiveDefinite("KL predicted covariance is not positive definite")
             return head_loss_and_grad(raw, *args)
 
@@ -562,10 +565,12 @@ class TestTraining:
         cfg = TrainConfig(steps=5, batch_size=2, seed=3, augment=False)
         with pytest.raises(NotPositiveDefinite, match="^training step 3: KL predicted"):
             train(tiny_samples(), cfg)
+        # one kernel call per step, on the whole batch
+        assert [r.shape for r in calls] == [(2, 21)] * 3
 
     def test_non_finite_loss_names_the_step(self, monkeypatch):
         monkeypatch.setattr(model_mod, "head_loss_and_grad",
-                            lambda raw, *args: (np.inf, np.zeros(21)))
+                            lambda raw, *args: (np.full(len(raw), np.inf), np.zeros_like(raw)))
         cfg = TrainConfig(steps=5, batch_size=2, seed=3, augment=False)
         with pytest.raises(NumericError, match="^training step 1: loss is not finite"):
             train(tiny_samples(), cfg)
@@ -643,3 +648,224 @@ class TestModelIO:
         path.write_text(text)
         with pytest.raises(DataError):
             load_model(path)
+
+
+# The sample-at-a-time head kernel and training loop that the batched step
+# replaced, kept verbatim as the reference: the batched code must give the
+# same bytes and raise the same first error.
+def ref_chol(mat, what):
+    if not np.isfinite(mat).all():
+        raise NumericError(f"{what} has non-finite entries")
+    try:
+        return np.linalg.cholesky(mat)
+    except np.linalg.LinAlgError:
+        raise NotPositiveDefinite(f"{what} is not positive definite")
+
+
+def ref_head(raw, y_bar, alpha=0.1, beta=0.9, delta=1e-3):
+    raw = np.asarray(raw, dtype=float).reshape(21)
+    c = np.zeros((6, 6))
+    c[np.diag_indices(6)] = softplus(raw[:6]) + DIAG_FLOOR
+    c[np.tril_indices(6, -1)] = raw[6:]
+    y = c @ c.T
+    y = 0.5 * (y + y.T)
+    y = y + (1e-16 + 1e-13 * float(np.max(np.diag(y)))) * np.eye(6)
+    y_bar = np.asarray(y_bar, dtype=float)
+    reg = y_bar + 1e-10 * np.eye(6) if np.linalg.eigvalsh(y_bar)[0] < 1e-12 else y_bar
+    L_bar = ref_chol(reg, "KL reference covariance")
+    L_hat = ref_chol(y, "KL predicted covariance")
+    M = solve_triangular(L_bar, L_hat, lower=True)
+    trace = float((M * M).sum())
+    logdet_bar = 2.0 * float(np.log(np.diag(L_bar)).sum())
+    logdet_hat = 2.0 * float(np.log(np.diag(L_hat)).sum())
+    kl = 0.5 * (trace - 6.0 + logdet_bar - logdet_hat)
+    g_kl = 0.5 * (cho_solve((L_bar, True), np.eye(6)) - cho_solve((L_hat, True), np.eye(6)))
+    d = pack_upper(y) - pack_upper(y_bar)
+    a = np.abs(d)
+    hub = float(np.where(a <= delta, 0.5 * d * d, delta * (a - 0.5 * delta)).sum())
+    g_hub = np.zeros((6, 6))
+    g_hub[np.triu_indices(6)] = np.where(a <= delta, d, delta * np.sign(d))
+    loss = alpha * kl + beta * hub
+    g_y = alpha * g_kl + beta * 0.5 * (g_hub + g_hub.T)
+    g_c = 2.0 * (g_y @ c)
+    grad = np.zeros(21)
+    grad[:6] = np.diag(g_c) * expit(raw[:6])
+    grad[6:] = g_c[np.tril_indices(6, -1)]
+    return loss, grad
+
+
+def ref_train(samples, config, normal_k=10):
+    records = [rec for rec, _ in samples]
+    scans = [model_mod._with_normals(scan, normal_k) for _, scan in samples]
+    base_feats = [extract_features(s, normal_k) for s in scans]
+    feats = np.asarray(base_feats)
+    feat_scale = feats.std(axis=0)
+    feat_scale[feat_scale < 1e-12] = 1.0
+    rng_init = np.random.default_rng(np.random.SeedSequence((config.seed, 0)))
+    rng_batch = np.random.default_rng(np.random.SeedSequence((config.seed, 1)))
+    rng_aug = np.random.default_rng(np.random.SeedSequence((config.seed, 2)))
+    w1 = rng_init.normal(0.0, 0.1 / np.sqrt(32), (64, 32))
+    w2 = rng_init.normal(0.0, 1e-3 / np.sqrt(64), (21, 64))
+    model = RegressionModel(feats.mean(axis=0), feat_scale, w1, np.zeros(64), w2,
+                            cov_to_params(config.init_sigma**2 * np.eye(6)))
+    losses = []
+    with np.errstate(all="ignore"):
+        for step in range(config.steps):
+            w = np.array([np.abs(r.covariance).max() for r in records])
+            p = None if w.sum() <= 0 else w / w.sum()
+            idx = rng_batch.choice(len(records), size=config.batch_size, replace=True, p=p)
+            g_w1, g_b1 = np.zeros_like(model.w1), np.zeros_like(model.b1)
+            g_w2, g_b2 = np.zeros_like(model.w2), np.zeros_like(model.b2)
+            total = 0.0
+            for i in idx:
+                if config.augment:
+                    scan_a, label = augment_sample(scans[i], records[i].covariance, rng_aug,
+                                                   config.augment_xy, config.augment_yaw_deg)
+                    f = base_feats[i] if scan_a is scans[i] else extract_features(scan_a, normal_k)
+                else:
+                    f, label = base_feats[i], records[i].covariance
+                if config.label_floor > 0.0:
+                    label = label + config.label_floor * np.eye(6)
+                f_n = (f - model.feat_mean) / model.feat_scale
+                h = np.tanh(model.w1 @ f_n + model.b1)
+                raw = model.w2 @ h + model.b2
+                try:
+                    loss, g_raw = ref_head(raw, label, config.alpha, config.beta,
+                                           config.huber_delta)
+                except NumericError as e:
+                    raise type(e)(f"training step {step + 1}: {e}") from e
+                total += loss
+                g_w2 += np.outer(g_raw, h)
+                g_b2 += g_raw
+                dz = (1.0 - h * h) * (model.w2.T @ g_raw)
+                g_w1 += np.outer(dz, f_n)
+                g_b1 += dz
+            if not np.isfinite(total):
+                raise NumericError(f"training step {step + 1}: loss is not finite")
+            k = float(len(idx))
+            model.w1 -= config.learning_rate * g_w1 / k
+            model.b1 -= config.learning_rate * g_b1 / k
+            model.w2 -= config.learning_rate * g_w2 / k
+            model.b2 -= config.learning_rate * g_b2 / k
+            losses.append(total / k)
+    return model, losses
+
+
+def outcome(fn, *args, **kwargs):
+    """("ok", result) or ("raised", class, message), to compare both paths."""
+    try:
+        return ("ok", fn(*args, **kwargs))
+    except Exception as e:
+        return ("raised", type(e), str(e))
+
+
+def near_singular_samples():
+    # a Monte-Carlo-like label with a -1e-23 eigenvalue takes the
+    # regularization path, next to a well-scaled one
+    rng = np.random.default_rng(40)
+    q, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+    flat = q @ np.diag([1e-5, 3e-6, 1e-6, 2e-7, 5e-8, -1e-23]) @ q.T
+    return [(make_record(0, 0.5 * (flat + flat.T)), make_scan(41, n=40)),
+            (make_record(1, random_spd(rng, scale=1e-4)), make_scan(42, n=40))]
+
+
+def assert_same_training(samples, cfg):
+    got = outcome(train, samples, cfg)
+    want = outcome(ref_train, samples, cfg)
+    assert got[0] == want[0], (got, want)
+    if got[0] == "raised":
+        assert got[1:] == want[1:]
+        return
+    (model, losses), (ref_model, ref_losses) = got[1], want[1]
+    for name in ("feat_mean", "feat_scale", "w1", "b1", "w2", "b2"):
+        assert np.array_equal(getattr(model, name), getattr(ref_model, name)), name
+    assert losses == ref_losses
+    assert all(type(v) is float for v in losses)
+
+
+class TestBatchedStepIsExact:
+    @pytest.mark.parametrize("batch_size", [1, 3, 16])
+    @pytest.mark.parametrize("label_floor", [0.0, 1e-4])
+    @pytest.mark.parametrize("augment", [False, True])
+    def test_train_matches_sample_loop(self, augment, label_floor, batch_size):
+        cfg = TrainConfig(steps=15, batch_size=batch_size, seed=7, augment=augment,
+                          label_floor=label_floor, learning_rate=0.01, init_sigma=0.03)
+        assert_same_training(tiny_samples(4), cfg)
+
+    @pytest.mark.parametrize("augment", [False, True])
+    def test_near_singular_labels_match(self, augment):
+        cfg = TrainConfig(steps=15, batch_size=5, seed=8, augment=augment,
+                          learning_rate=1e-3, init_sigma=0.03)
+        assert_same_training(near_singular_samples(), cfg)
+
+    @pytest.mark.parametrize("augment", [False, True])
+    def test_one_record_matches(self, augment):
+        cfg = TrainConfig(steps=15, batch_size=3, seed=9, augment=augment)
+        assert_same_training(tiny_samples(1), cfg)
+
+    @pytest.mark.parametrize("scale", [0.1, 1.0, 10.0, 1e3])
+    def test_kernel_matches_per_sample_head(self, scale):
+        rng = np.random.default_rng(int(scale * 10))
+        for batch in (1, 5, 16):
+            raw = rng.normal(scale=scale, size=(batch, 21))
+            labels = np.array([random_spd(rng, scale=10.0 ** rng.uniform(-6, 0))
+                               for _ in range(batch)])
+            loss, grad = head_loss_and_grad(raw, labels, 0.3, 0.7, 2e-3)
+            assert loss.shape == (batch,) and grad.shape == (batch, 21)
+            for b in range(batch):
+                ref_loss, ref_grad = ref_head(raw[b], labels[b], 0.3, 0.7, 2e-3)
+                assert loss[b] == ref_loss
+                assert np.array_equal(grad[b], ref_grad)
+                one_loss, one_grad = head_loss_and_grad(raw[b], labels[b], 0.3, 0.7, 2e-3)
+                assert type(one_loss) is float and one_loss == ref_loss
+                assert np.array_equal(one_grad, ref_grad)
+
+    def test_kernel_raises_the_first_failure(self):
+        good, raw = 1e-2 * np.eye(6), np.zeros(21)
+        blown = np.full(21, 1e200)  # C C^T overflows to inf
+        not_pd = np.diag([1e-2] * 5 + [-1.0])
+        cases = [
+            # (raws, labels): the lowest failing item wins, its reference
+            # before its prediction
+            ([raw, blown, raw], [good, good, not_pd]),
+            ([raw, raw, blown], [good, not_pd, good]),
+            ([raw, blown], [good, not_pd]),
+            ([blown, raw], [np.full((6, 6), np.nan), good]),
+            ([raw, raw], [good, np.diag([np.inf] * 6)]),
+        ]
+        for raws, labels in cases:
+            with np.errstate(all="ignore"):
+                got = outcome(head_loss_and_grad, np.array(raws), np.array(labels))
+                want = ("ok", None)
+                for r, y in zip(raws, labels):
+                    want = outcome(ref_head, r, y)
+                    if want[0] == "raised":
+                        break
+            assert got[0] == "raised" and got == want
+
+    def test_train_raises_the_first_failure(self):
+        # a non-PD label of small weight, first drawn at step 39; then a
+        # rate that blows the prediction up, to a non-finite loss or to a
+        # non-finite covariance
+        bad = (make_record(3, np.diag([1e-4] * 5 + [-1e-6])), make_scan(43, n=40))
+        runs = [(tiny_samples(3) + [bad], dict(augment=augment)) for augment in (False, True)]
+        runs += [(tiny_samples(3), dict(augment=False, learning_rate=lr)) for lr in (30.0, 1e3)]
+        for samples, kw in runs:
+            cfg = TrainConfig(steps=40, batch_size=4, seed=1, **kw)
+            got = outcome(train, samples, cfg)
+            assert got[0] == "raised" and "training step" in got[2]
+            assert got == outcome(ref_train, samples, cfg)
+
+    def test_kl_and_huber_views_match_the_kernel(self):
+        rng = np.random.default_rng(44)
+        raw = rng.normal(size=(6, 21))
+        labels = np.array([random_spd(rng, scale=1e-2) for _ in range(6)])
+        preds = params_to_cov(raw)
+        kls = loss_kl(preds, labels)
+        assert kls.shape == (6,)
+        kernel_kl, _ = head_loss_and_grad(raw, labels, alpha=1.0, beta=0.0)
+        assert np.array_equal(kls, kernel_kl)
+        for b in range(6):
+            assert loss_kl(preds[b], labels[b]) == kls[b]
+            assert loss_huber(preds[b], labels[b]) == head_loss_and_grad(
+                raw[b], labels[b], alpha=0.0, beta=1.0)[0]
