@@ -138,9 +138,7 @@ def cmd_eval(cfg: RunConfig, threads: int) -> int:
         for k, v in cfg.echo().items():
             f.write(f"# {k}={v}\n")
         f.write(metrics.report_text(report))
-        f.write(metrics.report_csv(report))
     print(metrics.report_text(report), end="")
-    print(metrics.report_csv(report), end="")
     print(f"wrote report to {out}")
     return 0
 

@@ -213,12 +213,12 @@ class NeighborIndex:
     def __len__(self):
         return len(self.cloud)
 
-    def query_batch(self, queries, workers: int = 1):
-        """Vectorized queries -> (distances, ids). No tie canonicalization."""
+    def query_batch(self, queries, k: int = 1, workers: int = 1):
+        """Vectorized queries -> (distances, ids), shaped (N,) for k = 1 and
+        (N, k) nearest first otherwise. No tie canonicalization."""
         if self._tree is None:
             raise EmptyIndex("nearest-neighbor query against an empty index")
-        d, i = self._tree.query(np.asarray(queries, dtype=float), workers=workers)
-        return d, i
+        return self._tree.query(np.asarray(queries, dtype=float), k=k, workers=workers)
 
 
 def build_local_map(scans, poses, k: int, setup: MapSetup) -> PointCloud:

@@ -66,12 +66,3 @@ def report_text(report: EvalReport) -> str:
         "mae_upper: " + " ".join(f"{v:.17g}" for v in report.mae_upper),
     ]
     return "\n".join(lines) + "\n"
-
-
-def report_csv(report: EvalReport) -> str:
-    header = "sample_count,mean_kl,mae_x,mae_y,mae_yaw"
-    row = (
-        f"{report.sample_count},{report.mean_kl:.17g},{report.mae_x:.17g},"
-        f"{report.mae_y:.17g},{report.mae_yaw:.17g}"
-    )
-    return header + "\n" + row + "\n"

@@ -99,11 +99,14 @@ def regularize_label(cov) -> np.ndarray:
     return np.where(low, cov + LABEL_JITTER * _EYE, cov)
 
 
-def _factor(mats, what):
+def _factor(mats, what, regularize: bool = False):
     """Cholesky factors of a (B,6,6) stack and their inverses, by the
-    potrs call of cho_solve per item."""
+    potrs call of cho_solve per item; `regularize` applies regularize_label
+    to the checked stack first."""
     if not np.isfinite(mats).all():
         raise NumericError(f"{what} has non-finite entries")
+    if regularize:
+        mats = regularize_label(mats)
     try:
         L = np.linalg.cholesky(mats)
     except np.linalg.LinAlgError:
@@ -116,8 +119,7 @@ def _kl_half(y_hat, y_bar, ref=None, regularize: bool = True):
     ln det y_bar - ln det y_hat), per item of (B,6,6) stacks, and its y_hat
     gradient 0.5 * (y_bar^-1 - y_hat^-1); `ref` is y_bar's _factor if known."""
     try:
-        L_bar, inv_bar = ref or _factor(
-            regularize_label(y_bar) if regularize else y_bar, "KL reference covariance")
+        L_bar, inv_bar = ref or _factor(y_bar, "KL reference covariance", regularize)
         L_hat, inv_hat = _factor(y_hat, "KL predicted covariance")
     except (NumericError, np.linalg.LinAlgError):
         if len(y_hat) > 1:  # raise what the lowest bad item raises alone
@@ -258,13 +260,19 @@ def _sampling_p(records):
     if not records:
         raise EmptyDataset("cannot sample from an empty record set")
     w = np.array([np.abs(r.covariance).max() for r in records], dtype=float)
+    bad = np.flatnonzero(~np.isfinite(w))
+    if bad.size:
+        i = int(bad[0])
+        raise NumericError(
+            f"record {i} (frame {records[i].frame_id}): covariance has non-finite entries")
     total = w.sum()
     return None if total <= 0 else w / total
 
 
 def weighted_sample(records, batch_size: int, rng) -> list:
     """Draw with replacement, weight per record = max |covariance entry|;
-    uniform when every weight is zero."""
+    uniform when every weight is zero. A non-finite covariance raises
+    NumericError naming the first such record."""
     idx = rng.choice(len(records), size=batch_size, replace=True, p=_sampling_p(records))
     return [records[i] for i in idx]
 
@@ -305,6 +313,7 @@ def train(samples, config: TrainConfig = TrainConfig(), normal_k: int = 10,
     if not samples:
         raise EmptyDataset("training needs at least one labeled sample")
     records = [rec for rec, _ in samples]
+    p = _sampling_p(records)
     scans = [_with_normals(scan, normal_k) for _, scan in samples]
     feats = np.asarray([extract_features(s, normal_k) for s in scans])
     feat_mean = feats.mean(axis=0)
@@ -319,7 +328,7 @@ def train(samples, config: TrainConfig = TrainConfig(), normal_k: int = 10,
         # unusable label fails in the first step that draws it
         labels = floored(np.array([rec.covariance for rec in records], dtype=float))
         try:
-            refs = _factor(regularize_label(labels), "KL reference covariance")
+            refs = _factor(labels, "KL reference covariance", regularize=True)
         except (NumericError, np.linalg.LinAlgError):
             refs = None
 
@@ -343,7 +352,6 @@ def train(samples, config: TrainConfig = TrainConfig(), normal_k: int = 10,
     # prediction; the checks below report that once, as NumericError,
     # so numpy's floating-point warnings are silenced here.
     with np.errstate(all="ignore"):
-        p = _sampling_p(records)
         for step in range(config.steps):
             idx = rng_batch.choice(len(records), size=config.batch_size, replace=True, p=p)
             if config.augment:
@@ -430,15 +438,21 @@ def load_model(path):
         if key not in kv:
             raise DataError(f"{path}: missing key {key!r}")
         try:
-            return np.array([parse(x) for x in kv[key].split(sep)]).reshape(shape)
+            v = np.array([parse(x) for x in kv[key].split(sep)]).reshape(shape)
         except ValueError as e:
             raise DataError(f"{path}: key {key!r}: {e}") from None
+        if not np.isfinite(v).all():
+            raise DataError(f"{path}: key {key!r}: non-finite value")
+        return v
 
     dims = tuple(vec("dims", 3, parse=int, sep=",").tolist())
     if dims != (FEATURE_DIM, HIDDEN_DIM, RAW_DIM):
         raise DataError(f"{path}: unsupported layer dims {dims}")
+    feat_scale = vec("feat_scale", FEATURE_DIM)
+    if np.any(feat_scale <= 0):
+        raise DataError(f"{path}: key 'feat_scale': feature scales must be positive")
     model = RegressionModel(
-        vec("feat_mean", FEATURE_DIM), vec("feat_scale", FEATURE_DIM),
+        vec("feat_mean", FEATURE_DIM), feat_scale,
         vec("w1", HIDDEN_DIM, FEATURE_DIM), vec("b1", HIDDEN_DIM),
         vec("w2", RAW_DIM, HIDDEN_DIM), vec("b2", RAW_DIM),
     )

@@ -198,9 +198,15 @@ class TestDataErrors:
         ("_non_finite_label", "-inf"),
         ("_edit_model", ("b1", "zz")),
         ("_edit_model", ("b1", "0 0")),
+        ("_edit_model", ("b2", " ".join(["nan"] + ["0"] * 20))),
+        ("_edit_model", ("w2", " ".join(["0"] * 99 + ["-inf"] + ["0"] * 1244))),
+        ("_edit_model", ("feat_scale", " ".join(["1"] * 31 + ["0"]))),
+        ("_edit_model", ("feat_scale", " ".join(["-2"] + ["1"] * 31))),
     ], ids=["pose_non_numeric", "model_cut_after_line_2", "model_cut_after_line_6",
             "dataset_nan_covariance", "dataset_inf_covariance",
-            "model_non_numeric_weight", "model_wrong_length_vector"])
+            "model_non_numeric_weight", "model_wrong_length_vector",
+            "model_nan_weight", "model_inf_weight", "model_zero_feat_scale",
+            "model_negative_feat_scale"])
     def test_corrupt_input_is_a_data_error(self, ws, tmp_path, capsys, corrupt, arg):
         argv, where = getattr(self, corrupt)(tmp_path, ws, arg)
         capsys.readouterr()
@@ -375,8 +381,9 @@ class TestTrainEval:
         assert "# sequence.scene=room" in report
         kl = float([l for l in report.splitlines() if l.startswith("mean_kl:")][0].split()[1])
         assert 0.0 <= kl < 0.5
-        csv_rows = [l for l in report.splitlines() if l.startswith("sample_count,")]
-        assert csv_rows == ["sample_count,mean_kl,mae_x,mae_y,mae_yaw"]
+        # the text block ends the report; no CSV block follows it
+        assert report.splitlines()[-1].startswith("mae_upper: ")
+        assert "sample_count," not in report
 
     def test_eval_features_use_map_normal_k(self, ws, monkeypatch):
         monkeypatch.chdir(ws["root"])
@@ -388,7 +395,7 @@ class TestTrainEval:
         seq = make_synthetic_scene("room", density=4, n_frames=4, seed=11)
         scans = [voxel_downsample(seq.scan(r.frame_id), 0.3) for r in recs]
         preds = [params_to_cov(trained.forward(extract_features(s, 6))) for s in scans]
-        expected = metrics.report_csv(metrics.evaluate(preds, [r.covariance for r in recs]))
+        expected = metrics.report_text(metrics.evaluate(preds, [r.covariance for r in recs]))
         default_k = [predict(trained, s) for s in scans]
         assert not np.allclose(preds, default_k, rtol=0, atol=1e-12)
         assert (ws["root"] / "report_k6.txt").read_text().endswith(expected)

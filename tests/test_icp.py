@@ -1,14 +1,77 @@
-"""Point-to-plane ICP behavior: convergence, degeneracy, equivariance."""
+"""Point-to-plane ICP behavior: convergence, degeneracy, equivariance, and
+the cached correspondences' exactness against a full query per iteration."""
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from licov import se3
-from licov.cloud import MapSetup, PointCloud, build_local_map, transform_cloud
+from licov.cloud import MapSetup, NeighborIndex, PointCloud, build_local_map, transform_cloud
 from licov.errors import NoCorrespondences
-from licov.icp import IcpConfig, icp_point_to_plane, point_to_plane_rmse
+from licov.icp import (
+    _RANK_TOL, IcpConfig, IcpResult, _Matcher, icp_point_to_plane, point_to_plane_rmse,
+)
 
 XI0 = np.array([0.1, -0.2, 0.05, 0.01, 0.02, -0.03])
+# Prior spreads (x, y, z in m; roll, pitch, yaw in rad) like those of the
+# labels (1 m, 1 deg) and of fuse's odometry (2 cm, 0.2 deg).
+LABEL_PRIOR = np.r_[1.0, 1.0, 1.0, np.deg2rad([1.0, 1.0, 1.0])]
+FUSE_PRIOR = np.r_[0.02, 0.02, 0.02, np.deg2rad([0.2, 0.2, 0.2])]
+SETUP = MapSetup(1, 1, scan_voxel=0.2)
+
+
+def ref_icp(source, target, initial, config=IcpConfig(), index=None, workers=1):
+    """Point-to-plane ICP with a full nearest-neighbour query in every
+    iteration and for the final RMSE: the answer the cache must reproduce."""
+    index = NeighborIndex(target) if index is None else index
+    gate = config.max_correspondence_distance
+    src, tgt, nrm = source.points, target.points, target.normals
+
+    def correspondences(p):
+        d, j = index.query_batch(p, workers=workers)
+        mask = d <= gate
+        if not mask.any():
+            raise NoCorrespondences("correspondence gate rejected every candidate pair")
+        return mask, j[mask]
+
+    estimate, converged, singular = initial, False, False
+    cond, normal_matrix, iterations = np.inf, np.zeros((6, 6)), 0
+    for _ in range(config.max_iterations):
+        iterations += 1
+        p = estimate.apply(src)
+        mask, j = correspondences(p)
+        pm = p[mask]
+        n = nrm[j]
+        r = np.einsum("ij,ij->i", pm - tgt[j], n)
+        jac = np.hstack([n, np.cross(pm, n)])
+        A = jac.T @ jac
+        b = -(jac.T @ r)
+        eig = np.linalg.eigvalsh(A)
+        if eig[0] < _RANK_TOL * max(eig[-1], np.finfo(float).tiny):
+            singular = True
+            cond = np.inf if eig[0] <= 0 else eig[-1] / eig[0]
+            delta = np.linalg.pinv(A, rcond=_RANK_TOL) @ b
+        else:
+            cond = eig[-1] / eig[0]
+            delta = np.linalg.solve(A, b)
+        normal_matrix = A
+        estimate = se3.exp(delta) @ estimate
+        if (np.linalg.norm(delta[:3]) < config.translation_eps
+                and np.linalg.norm(delta[3:]) < config.rotation_eps):
+            converged = True
+            break
+    p = estimate.apply(src)
+    mask, j = correspondences(p)
+    r = np.einsum("ij,ij->i", p[mask] - tgt[j], nrm[j])
+    return IcpResult(estimate, converged, iterations, float(np.sqrt(np.mean(r**2))),
+                     float(cond), singular, normal_matrix)
+
+
+def result_bytes(res: IcpResult):
+    return (res.estimate.matrix().tobytes(), np.float64(res.final_rmse).tobytes(),
+            np.float64(res.condition_number).tobytes(), res.iterations_used,
+            res.normal_matrix.tobytes(), res.converged, res.singular)
 
 
 @pytest.fixture(scope="module")
@@ -135,3 +198,116 @@ class TestErrors:
             IcpConfig(rotation_eps=-1.0)
         with pytest.raises(ValueError):
             IcpConfig(max_correspondence_distance=0.0)
+
+
+@pytest.fixture(scope="module")
+def frames(corridor_sequence, room_sequence):
+    """(scan, map, index, true pose) of corridor frames 2 and 12, room frame 5."""
+    out = {}
+    for name, seq, k in (("corridor", corridor_sequence, 2), ("corridor", corridor_sequence, 12),
+                         ("room", room_sequence, 5)):
+        scan, local_map = SETUP.frame(seq, k)
+        out[name, k] = (scan, local_map, NeighborIndex(local_map), seq.pose(k))
+    return out
+
+
+class TestCachedCorrespondences:
+    @pytest.mark.parametrize("frame", [("corridor", 2), ("corridor", 12), ("room", 5)],
+                             ids=["corridor2", "corridor12", "room5"])
+    @pytest.mark.parametrize("prior", ["label", "fuse"])
+    def test_icp_is_byte_identical_to_full_queries(self, frames, frame, prior):
+        scan, local_map, index, pose = frames[frame]
+        sigma = LABEL_PRIOR if prior == "label" else FUSE_PRIOR
+        rng = np.random.default_rng([frame[1], len(prior)])
+        for run in range(3):
+            start = se3.exp(rng.normal(size=6) * sigma) @ pose
+            workers = 1 + run % 2
+            got = icp_point_to_plane(scan, local_map, start, index=index, workers=workers)
+            want = ref_icp(scan, local_map, start, index=index, workers=workers)
+            assert result_bytes(got) == result_bytes(want)
+
+    def test_points_beyond_the_gate(self, room_map):
+        far = room_map.points[::7] + np.array([0.0, 0.0, 50.0])
+        source = transform_cloud(PointCloud(np.vstack([room_map.points, far])), se3.exp(XI0))
+        cfg = IcpConfig(max_correspondence_distance=0.5)
+        got = icp_point_to_plane(source, room_map, se3.SE3.identity(), cfg)
+        want = ref_icp(source, room_map, se3.SE3.identity(), cfg)
+        assert result_bytes(got) == result_bytes(want)
+
+    def test_lattice_with_exact_ties(self):
+        # queries on half-integer offsets of an integer grid are equidistant
+        # to 2, 4 or 8 map points; k = 2 lists such ties in another order
+        target = plane_grid(spacing=1.0)
+        source = PointCloud(target.points[::3] + [0.5, 0.5, 0.25])
+        for initial in (se3.SE3.identity(), se3.exp([0.5, 0.0, 0.3, 0, 0, 0.01])):
+            got = icp_point_to_plane(source, target, initial)
+            want = ref_icp(source, target, initial)
+            assert result_bytes(got) == result_bytes(want)
+
+    def test_fewer_points_queried_than_iterations_times_scan(self, frames, monkeypatch):
+        scan, local_map, index, pose = frames["corridor", 12]
+        queried = []
+        query = NeighborIndex.query_batch
+
+        def spy(self, queries, k=1, workers=1):
+            queried.append(len(queries))
+            return query(self, queries, k=k, workers=workers)
+
+        monkeypatch.setattr(NeighborIndex, "query_batch", spy)
+        start = se3.exp(FUSE_PRIOR) @ pose
+        res = icp_point_to_plane(scan, local_map, start, index=index)
+        assert res.iterations_used > 2
+        assert queried[0] == len(scan)
+        assert sum(queried) < res.iterations_used * len(scan)
+
+
+def assert_matches_full_query(index, points, moves, workers=1):
+    """Move points step by step; each answer must be a full query's bits."""
+    match = _Matcher(index, len(points), workers)
+    for step in moves:
+        points = points + step
+        d, j = match(points)
+        d_ref, j_ref = index.query_batch(points, workers=workers)
+        assert d.tobytes() == d_ref.tobytes()
+        assert j.tobytes() == j_ref.astype(j.dtype).tobytes()
+
+
+class TestMatcher:
+    @pytest.mark.parametrize("pts", [[[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]], [[0.0, 0.0, 0.0]] * 2],
+                             ids=["two_sides", "duplicate_at_query"])
+    def test_exact_tie_takes_the_k1_answer(self, pts):
+        index = NeighborIndex(PointCloud(pts))
+        d2, j2 = index.query_batch(np.zeros((1, 3)), k=2)
+        assert d2[0, 0] == d2[0, 1]
+        assert j2[0, 0] != index.query_batch(np.zeros((1, 3)))[1][0]
+        assert_matches_full_query(index, np.zeros((1, 3)), [0.0, 0.0, [[1e-9, 0.0, 0.0]], 0.0])
+
+    def test_one_point_map(self):
+        index = NeighborIndex(PointCloud([[0.5, -1.0, 2.0]]))
+        rng = np.random.default_rng(3)
+        moves = [0.0, *rng.normal(size=(4, 50, 3))]
+        assert_matches_full_query(index, rng.normal(size=(50, 3)), moves)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_random_cloud_and_far_points(self, workers):
+        rng = np.random.default_rng(5)
+        index = NeighborIndex(PointCloud(rng.uniform(-5, 5, (300, 3))))
+        points = np.vstack([rng.uniform(-5, 5, (400, 3)), rng.uniform(40, 60, (20, 3))])
+        moves = [0.0] + [s * rng.normal(size=(420, 3)) for s in (1e-3, 1e-2, 0.3) for _ in range(6)]
+        assert_matches_full_query(index, points, moves, workers)
+
+    @seed(20251018)
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        map_seed=st.integers(0, 2**32 - 1),
+        n_map=st.integers(1, 60),
+        lattice=st.booleans(),
+        scales=st.lists(st.sampled_from([0.0, 1e-9, 1e-4, 1e-2, 0.5]), min_size=1, max_size=6),
+    )
+    def test_any_motion_gives_the_full_query(self, map_seed, n_map, lattice, scales):
+        rng = np.random.default_rng(map_seed)
+        pts = rng.integers(-3, 4, (n_map, 3)).astype(float) if lattice else rng.normal(size=(n_map, 3))
+        index = NeighborIndex(PointCloud(pts))
+        start = rng.integers(-6, 7, (40, 3)) / 2.0 if lattice else 2.0 * rng.normal(size=(40, 3))
+        moves = [0.0, *(s * rng.normal(size=(40, 3)) for s in scales)]
+        assert_matches_full_query(index, start, moves)

@@ -138,6 +138,17 @@ class TestKl:
             with pytest.raises(NumericError, match="non-finite"):
                 loss_kl(np.eye(6), bad, regularize=False)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_label_is_a_numeric_error_when_regularized(self, bad):
+        label = np.eye(6)
+        label[1, 4] = label[4, 1] = bad
+        with pytest.raises(NumericError, match="KL reference covariance has non-finite"):
+            loss_kl(np.eye(6), label)
+        with pytest.raises(NumericError, match="KL reference covariance has non-finite"):
+            head_loss_and_grad(np.zeros(21), label)
+        with pytest.raises(NumericError, match="KL reference covariance has non-finite"):
+            head_loss_and_grad(np.zeros((3, 21)), np.stack([np.eye(6), np.eye(6), label]))
+
     def test_singular_label_regularized_or_rejected(self):
         singular = np.zeros((6, 6))
         assert np.isfinite(loss_kl(np.eye(6), singular))
@@ -424,6 +435,14 @@ class TestWeightedSampling:
         with pytest.raises(EmptyDataset):
             weighted_sample([], 4, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_covariance_names_the_record(self, bad):
+        cov = np.eye(6)
+        cov[2, 3] = bad
+        recs = [make_record(4, np.eye(6)), make_record(9, cov), make_record(5, cov)]
+        with pytest.raises(NumericError, match=r"^record 1 \(frame 9\): covariance has non-finite"):
+            weighted_sample(recs, 4, np.random.default_rng(0))
+
 
 class TestAugmentation:
     def test_quarter_turn_reorders_diagonal(self):
@@ -484,6 +503,17 @@ class TestTraining:
     def test_empty_rejected(self):
         with pytest.raises(EmptyDataset):
             train([])
+
+    @pytest.mark.parametrize("augment", [False, True])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_label_names_the_record(self, augment, bad):
+        samples = tiny_samples(3)
+        cov = samples[2][0].covariance.copy()
+        cov[0, 0] = bad
+        samples[2] = (make_record(7, cov), samples[2][1])
+        cfg = TrainConfig(steps=5, batch_size=4, augment=augment)
+        with pytest.raises(NumericError, match=r"^record 2 \(frame 7\): covariance has non-finite"):
+            train(samples, cfg)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -671,6 +701,8 @@ def ref_head(raw, y_bar, alpha=0.1, beta=0.9, delta=1e-3):
     y = 0.5 * (y + y.T)
     y = y + (1e-16 + 1e-13 * float(np.max(np.diag(y)))) * np.eye(6)
     y_bar = np.asarray(y_bar, dtype=float)
+    if not np.isfinite(y_bar).all():
+        raise NumericError("KL reference covariance has non-finite entries")
     reg = y_bar + 1e-10 * np.eye(6) if np.linalg.eigvalsh(y_bar)[0] < 1e-12 else y_bar
     L_bar = ref_chol(reg, "KL reference covariance")
     L_hat = ref_chol(y, "KL predicted covariance")
