@@ -92,7 +92,7 @@ class _Matcher:
         self._at[stale] = q
         gap = 0.5 * (dk[:, 1] - dk[:, 0])
         self._slack[stale] = (1.0 - _ROUNDING) * gap - _ROUNDING * dk[:, 0]
-        # kept points' distances summed as the tree sums them, the rest its own
+        # kept points' distances, summed as the tree sums them; queried ones from the tree
         d = _norm(p - self._map.take(j, axis=0))
         d[stale] = dk[:, 0]
         return d, j.copy()

@@ -249,6 +249,17 @@ class TestNeighborIndex:
         assert np.array_equal(ids, brute.argmin(axis=1))
         assert np.allclose(dists, brute.min(axis=1), rtol=0, atol=1e-12)
 
+    def test_two_nearest_are_sorted_and_lead_with_the_nearest(self):
+        rng = np.random.default_rng(10)
+        pts = rng.normal(size=(60, 3))
+        index = NeighborIndex(PointCloud(pts))
+        queries = rng.normal(size=(15, 3))
+        dists, ids = index.query_batch(queries, k=2)
+        brute = np.linalg.norm(queries[:, None, :] - pts[None, :, :], axis=2)
+        assert dists.shape == ids.shape == (15, 2)
+        assert np.array_equal(ids, np.argsort(brute, axis=1)[:, :2])
+        assert np.array_equal(dists[:, 0], index.query_batch(queries)[0])
+
     def test_empty_index_raises(self):
         index = NeighborIndex(PointCloud(np.zeros((0, 3))))
         with pytest.raises(EmptyIndex):

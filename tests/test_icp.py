@@ -235,10 +235,13 @@ class TestCachedCorrespondences:
         assert result_bytes(got) == result_bytes(want)
 
     def test_lattice_with_exact_ties(self):
-        # queries on half-integer offsets of an integer grid are equidistant
-        # to 2, 4 or 8 map points; k = 2 lists such ties in another order
-        target = plane_grid(spacing=1.0)
-        source = PointCloud(target.points[::3] + [0.5, 0.5, 0.25])
+        # points half a cell off a unit grid are equidistant to 2 or 4 map
+        # points, and k = 2 lists such ties in another order than k = 1;
+        # tilted normals make the residual depend on which one is taken
+        grid = plane_grid(spacing=1.0).points
+        tilt = np.random.default_rng(2).normal(scale=0.2, size=grid.shape) + [0.0, 0.0, 1.0]
+        target = PointCloud(grid, tilt / np.linalg.norm(tilt, axis=1, keepdims=True))
+        source = PointCloud(grid[::3] + [0.5, 0.5, 0.25])
         for initial in (se3.SE3.identity(), se3.exp([0.5, 0.0, 0.3, 0, 0, 0.01])):
             got = icp_point_to_plane(source, target, initial)
             want = ref_icp(source, target, initial)
