@@ -14,9 +14,9 @@ from licov.scenes import make_synthetic_scene
 
 seq = make_synthetic_scene("room", seed=0)
 k = 5
-scan, local_map = MapSetup(1, 1, map_voxel=0.2).frame(seq, k)
+scan, index = MapSetup(1, 1, map_voxel=0.2).frame(seq, k)
 pose = seq.pose(k)
-print(f"frame {k}: scan {len(scan)} points, local map {len(local_map)} points")
+print(f"frame {k}: scan {len(scan)} points, local map {len(index)} points")
 
 spec = PerturbationSpec()  # 1 m / 5 deg sigmas on every axis
 cfg = IcpConfig(max_iterations=50)
@@ -25,7 +25,7 @@ print("\n offset (m)   iters   final error (m, rad)")
 for trial in range(5):
     xi = sample_perturbation(spec, rng)
     start = se3.exp(xi) @ pose
-    result = icp_point_to_plane(scan, local_map, start, cfg)
+    result = icp_point_to_plane(scan, index, start, cfg)
     err = se3.log(se3.inverse(pose) @ result.estimate)
     print(f"   {np.linalg.norm(xi[:3]):7.3f}    {result.iterations_used:3d}     "
           f"{np.linalg.norm(err[:3]):.2e}  {np.linalg.norm(err[3:]):.2e}")

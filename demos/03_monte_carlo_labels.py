@@ -17,8 +17,8 @@ np.set_printoptions(precision=2)
 
 
 def label_for(seq, k, spec, map_voxel):
-    scan, local_map = MapSetup(1, 1, map_voxel).frame(seq, k)
-    return run_monte_carlo(scan, local_map, seq.pose(k), spec, 60,
+    scan, index = MapSetup(1, 1, map_voxel).frame(seq, k)
+    return run_monte_carlo(scan, index, seq.pose(k), spec, 60,
                            IcpConfig(), seed=0, frame_id=k)
 
 

@@ -82,9 +82,9 @@ class MapSetup:
         return voxel_downsample(sequence.scan(k), self.scan_voxel)
 
     def frame(self, sequence, k):
-        """-> (filtered scan, local map) of frame k."""
+        """-> (filtered scan, NeighborIndex over the local map) of frame k."""
         local_map = build_local_map(sequence.scans, sequence.poses, k, self)
-        return self.scan(sequence, k), local_map
+        return self.scan(sequence, k), NeighborIndex(local_map)
 
 
 def load_kitti_scan(path) -> PointCloud:

@@ -109,8 +109,6 @@ class RunConfig:
             try:
                 with open(path, "r") as f:
                     parser.read_file(f)
-            except OSError:
-                raise
             except configparser.Error as e:
                 raise ConfigError(f"{path}: {e}")
             for section in parser.sections():
@@ -125,7 +123,6 @@ class RunConfig:
             section, _, name = key.partition(".")
             if not name:
                 raise ConfigError(f"--set key must be section.key, got {key!r}")
-            values.setdefault(section, {})
             if section not in SCHEMA:
                 raise ConfigError(f"unknown section {section!r} in --set")
             values[section][name] = _parse_value(section, name, raw)
@@ -192,8 +189,6 @@ class RunConfig:
 
 
 def _parse_value(section, key, raw):
-    if section not in SCHEMA:
-        raise ConfigError(f"unknown section [{section}]")
     if key not in SCHEMA[section]:
         raise ConfigError(f"unknown key {key!r} in section [{section}]")
     parse, _ = SCHEMA[section][key]

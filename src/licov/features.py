@@ -23,7 +23,7 @@ import hashlib
 import numpy as np
 
 from .cloud import PointCloud, estimate_normals
-from .errors import EmptyCloud, TooFewPoints
+from .errors import EmptyCloud
 
 FEATURE_DIM = 32
 
@@ -71,6 +71,14 @@ def _occupancy_entropy(rho, z) -> float:
     return float(-(p * np.log(p)).sum())
 
 
+def with_normals(cloud: PointCloud, normal_k: int) -> PointCloud:
+    """The cloud with estimated normals; as given if it has normals or
+    too few points (normal_k or fewer) for a neighborhood."""
+    if cloud.normals is not None or len(cloud) <= normal_k:
+        return cloud
+    return estimate_normals(cloud, k=normal_k)
+
+
 def extract_features(cloud: PointCloud, normal_k: int = 10) -> np.ndarray:
     """Describe a scan (sensor at the origin) as a fixed 32-vector."""
     pts = cloud.points
@@ -95,12 +103,7 @@ def extract_features(cloud: PointCloud, normal_k: int = 10) -> np.ndarray:
         out[1 + 3 * s : 4 + 3 * s] = (lin, pla, sph)
         out[13 + s] = sel.shape[0] / n
 
-    normals = cloud.normals
-    if normals is None and n >= normal_k + 1:
-        try:
-            normals = estimate_normals(cloud, k=normal_k).normals
-        except TooFewPoints:
-            normals = None
+    normals = with_normals(cloud, normal_k).normals
     if normals is not None:
         horiz = np.hypot(normals[:, 0], normals[:, 1])
         keep = horiz > _MIN_HORIZONTAL

@@ -9,12 +9,13 @@ per-frame predicted covariances.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import se3
-from .cloud import MapSetup, NeighborIndex
+from .cloud import MapSetup
 from .errors import (
     ConfigError,
     DataError,
@@ -152,10 +153,10 @@ def run_fusion(
     against the local map gives the pose measurements. Every filter starts
     at the true first-frame pose. Per-frame odometry noise comes from the
     (seed, frame) substream, so runs are repeatable and every mode sees the
-    same noise realization. Each frame's scan, local map and neighbor index
-    are prepared once and shared by all modes. `align` may replace the ICP
-    call (source, target, initial, cfg -> object with .estimate); it is
-    called once per frame and mode.
+    same noise realization. Each frame's scan and map index are prepared
+    once and shared by all modes. `align` may replace the ICP call (source,
+    index, initial, cfg -> object with .estimate); it is called once per
+    frame and mode.
     """
     modes = tuple(dict.fromkeys(modes))
     for mode in modes:
@@ -168,6 +169,8 @@ def run_fusion(
     frames = sorted(set(int(f) for f in frames))
     if not frames:
         raise EmptyTrajectory("no frames to fuse")
+    if align is None:
+        align = functools.partial(icp_point_to_plane, workers=workers)
 
     sig = setup.motion_sigmas()
     Q = np.diag(sig**2)
@@ -182,17 +185,10 @@ def run_fusion(
         eta = rng.normal(0.0, 1.0, 6) * sig
         motion = MotionInput(delta_true @ se3.exp(eta), Q)
 
-        scan, local_map = setup.map.frame(sequence, k)
-        index = NeighborIndex(local_map)
+        scan, index = setup.map.frame(sequence, k)
         for mode in modes:
             state = ekf_predict(states[mode], motion)
-            if align is None:
-                result = icp_point_to_plane(
-                    scan, local_map, state.pose, setup.icp, index=index, workers=workers
-                )
-            else:
-                result = align(scan, local_map, state.pose, setup.icp)
-
+            result = align(scan, index, state.pose, setup.icp)
             if mode == "icp_only":
                 state = FusionState(result.estimate, state.covariance)
             else:

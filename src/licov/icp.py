@@ -110,42 +110,24 @@ def _residuals(p, d, j, gate: float, target: PointCloud):
     return pm, n, np.einsum("ij,ij->i", pm - target.points.take(j, axis=0), n)
 
 
-def point_to_plane_rmse(
-    source: PointCloud,
-    target: PointCloud,
-    estimate: se3.SE3,
-    config: IcpConfig,
-    index: NeighborIndex | None = None,
-    workers: int = 1,
-) -> float:
-    """RMSE of gated point-to-plane residuals at a fixed estimate."""
-    if index is None:
-        index = NeighborIndex(target)
-    p = estimate.apply(source.points)
-    d, j = index.query_batch(p, workers=workers)
-    r = _residuals(p, d, j, config.max_correspondence_distance, target)[2]
-    return float(np.sqrt(np.mean(r**2)))
-
-
 def icp_point_to_plane(
     source: PointCloud,
-    target: PointCloud,
+    index: NeighborIndex,
     initial: se3.SE3,
     config: IcpConfig = IcpConfig(),
-    index: NeighborIndex | None = None,
     workers: int = 1,
 ) -> IcpResult:
-    """Align source to a normal-equipped target starting from `initial`.
+    """Align source to the normal-equipped map `index.cloud`, starting from
+    `initial`.
 
     Stops once the increment falls below both epsilons (converged) or the
     iteration budget runs out. A rank-deficient normal matrix is solved by
     pseudo-inverse and flagged in the result instead of raising; the fully
     unobservable directions simply keep their initial values.
     """
+    target = index.cloud
     if target.normals is None:
         raise ValueError("target must carry normals for point-to-plane ICP")
-    if index is None:
-        index = NeighborIndex(target)
     gate = config.max_correspondence_distance
     src = source.points
 

@@ -107,7 +107,7 @@ def sample_perturbation(spec: PerturbationSpec, rng) -> np.ndarray:
 
 def run_monte_carlo(
     scan,
-    local_map,
+    index: NeighborIndex,
     pose: se3.SE3,
     spec: PerturbationSpec,
     n: int,
@@ -118,17 +118,15 @@ def run_monte_carlo(
 ) -> CovRecord:
     """Label one frame by n perturb-and-realign trials.
 
-    `align` may replace the ICP call (same signature: source, target,
-    initial, config -> object with .estimate); samples that raise
-    AngleNearPi or NoCorrespondences are dropped and counted as diverged.
+    `index` is the map's NeighborIndex. `align` may replace the ICP call
+    (same signature: source, index, initial, config -> object with
+    .estimate); samples that raise AngleNearPi or NoCorrespondences are
+    dropped and counted as diverged.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
     if align is None:
-        index = NeighborIndex(local_map)
-
-        def align(source, target, initial, cfg):
-            return icp_point_to_plane(source, target, initial, cfg, index=index)
+        align = icp_point_to_plane
 
     pose_inv = se3.inverse(pose)
     errors = []
@@ -138,7 +136,7 @@ def run_monte_carlo(
         xi = sample_perturbation(spec, rng)
         start = se3.exp(xi) @ pose
         try:
-            result = align(scan, local_map, start, config)
+            result = align(scan, index, start, config)
             errors.append(se3.log(pose_inv @ result.estimate))
         except (AngleNearPi, NoCorrespondences):
             diverged += 1
@@ -287,10 +285,10 @@ def generate_dataset(
         if failed and frame_id > min(failed):
             return None
         try:
-            scan, local_map = setup.frame(sequence, frame_id)
+            scan, index = setup.frame(sequence, frame_id)
             return run_monte_carlo(
                 scan,
-                local_map,
+                index,
                 sequence.pose(frame_id),
                 spec,
                 n,

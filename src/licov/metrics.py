@@ -6,14 +6,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyEvaluation, LengthMismatch
-from .mcgen import pack_upper
+from .mcgen import UPPER_I, UPPER_J, pack_upper
 from .model import loss_kl
 
-# Positions of the diagonal x, y and yaw variances inside the row-major
-# 21-entry upper triangle.
-_SLOT_X = 0
-_SLOT_Y = 6
-_SLOT_YAW = 20
+# Positions of the six diagonal variances inside the 21-entry upper
+# triangle; x, y and yaw are twist axes 0, 1 and 5.
+_DIAG_SLOT = np.flatnonzero(UPPER_I == UPPER_J)
 
 
 @dataclass
@@ -49,9 +47,9 @@ def evaluate(predictions, labels) -> EvalReport:
     return EvalReport(
         mean_kl=float(np.mean(kls)),
         mae_upper=mae,
-        mae_x=float(mae[_SLOT_X]),
-        mae_y=float(mae[_SLOT_Y]),
-        mae_yaw=float(mae[_SLOT_YAW]),
+        mae_x=float(mae[_DIAG_SLOT[0]]),
+        mae_y=float(mae[_DIAG_SLOT[1]]),
+        mae_yaw=float(mae[_DIAG_SLOT[5]]),
         sample_count=len(predictions),
     )
 

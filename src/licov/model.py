@@ -17,9 +17,10 @@ from scipy.linalg.lapack import dpotrs, dtrtrs
 from scipy.special import expit
 
 from . import se3
-from .cloud import PointCloud, estimate_normals, transform_cloud
-from .errors import DataError, EmptyDataset, NotPositiveDefinite, NumericError, TooFewPoints
-from .features import FEATURE_DIM, extract_features, feature_spec_hash
+from .cloud import PointCloud, transform_cloud
+from .errors import DataError, EmptyDataset, NotPositiveDefinite, NumericError
+from .features import FEATURE_DIM, extract_features, feature_spec_hash, with_normals
+from .mcgen import UPPER_I, UPPER_J
 
 RAW_DIM = 21
 HIDDEN_DIM = 64
@@ -44,8 +45,7 @@ MODEL_VERSION = 1
 _EYE = np.eye(6)
 _DIAG = np.arange(6)
 _TRIL_I, _TRIL_J = np.tril_indices(6, -1)
-_UP_I, _UP_J = np.triu_indices(6)
-_UP_FLAT = _UP_I * 6 + _UP_J
+_UP_FLAT = UPPER_I * 6 + UPPER_J
 
 
 def softplus(x):
@@ -143,7 +143,7 @@ def _huber_half(y_hat, y_bar, delta):
     a = np.abs(d)
     hub = np.where(a <= delta, 0.5 * d * d, delta * (a - 0.5 * delta)).sum(axis=1)
     slope = np.zeros(y_hat.shape)
-    slope[:, _UP_I, _UP_J] = np.where(a <= delta, d, delta * np.sign(d))
+    slope[:, UPPER_I, UPPER_J] = np.where(a <= delta, d, delta * np.sign(d))
     return hub, slope
 
 
@@ -289,15 +289,6 @@ def augment_sample(scan: PointCloud, cov, rng, xy_range: float = 2.0,
     return transform_cloud(scan, t), se3.transport_covariance(t, cov)
 
 
-def _with_normals(scan: PointCloud, normal_k: int) -> PointCloud:
-    if scan.normals is not None:
-        return scan
-    try:
-        return estimate_normals(scan, k=normal_k)
-    except TooFewPoints:
-        return scan
-
-
 def train(samples, config: TrainConfig = TrainConfig(), normal_k: int = 10,
           progress=None):
     """Fit the regressor on (CovRecord, scan) pairs.
@@ -314,7 +305,7 @@ def train(samples, config: TrainConfig = TrainConfig(), normal_k: int = 10,
         raise EmptyDataset("training needs at least one labeled sample")
     records = [rec for rec, _ in samples]
     p = _sampling_p(records)
-    scans = [_with_normals(scan, normal_k) for _, scan in samples]
+    scans = [with_normals(scan, normal_k) for _, scan in samples]
     feats = np.asarray([extract_features(s, normal_k) for s in scans])
     feat_mean = feats.mean(axis=0)
     feat_scale = feats.std(axis=0)

@@ -16,6 +16,7 @@ same seed always reproduces identical clouds.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,7 +142,7 @@ class SyntheticSequence(Sequence):
         self.max_range = float(max_range)
         self.noise_sigma = float(noise_sigma)
         self.seed = int(seed)
-        self._cache = {}
+        self._load = functools.lru_cache(maxsize=64)(self._generate)
 
     def __len__(self):
         return len(self._poses)
@@ -152,11 +153,7 @@ class SyntheticSequence(Sequence):
     def scan(self, k):
         if not 0 <= k < len(self):
             raise IndexError(k)
-        if k not in self._cache:
-            self._cache[k] = self._generate(k)
-            if len(self._cache) > 64:
-                self._cache.pop(next(iter(self._cache)))
-        return self._cache[k]
+        return self._load(k)
 
     def _generate(self, k):
         rng = np.random.default_rng(np.random.SeedSequence((self.seed, k)))

@@ -63,13 +63,13 @@ class KittiSequence(Sequence):
             raise MissingPose(
                 f"{pose_file}: {len(self._poses)} poses for {len(self._paths)} scans"
             )
+        self._load = functools.lru_cache(maxsize=64)(cloud.load_kitti_scan)
 
     def __len__(self):
         return len(self._paths)
 
-    @functools.lru_cache(maxsize=64)
     def scan(self, k):
-        return cloud.load_kitti_scan(self._paths[k])
+        return self._load(self._paths[k])
 
     def pose(self, k):
         return self._poses[k]

@@ -17,7 +17,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from licov import cli, se3
-from licov.cloud import MapSetup, PointCloud, build_local_map, voxel_downsample
+from licov.cloud import MapSetup, NeighborIndex, PointCloud, build_local_map, voxel_downsample
 from licov.fusion import (
     FusionSetup,
     FusionState,
@@ -110,9 +110,10 @@ def test_acceptance_02_icp_recovery_full_scale():
     cfg = IcpConfig(max_iterations=50)
     rng = np.random.default_rng(42)
     hits = 0
+    index = NeighborIndex(local_map)
     for _ in range(100):
         start = se3.exp(sample_perturbation(spec, rng)) @ pose
-        res = icp_point_to_plane(scan, local_map, start, cfg)
+        res = icp_point_to_plane(scan, index, start, cfg)
         err = se3.log(se3.inverse(pose) @ res.estimate)
         if np.linalg.norm(err[:3]) <= 1e-3 and np.linalg.norm(err[3:]) <= 1e-3:
             hits += 1
@@ -157,7 +158,7 @@ def test_acceptance_04_scene_conditioning():
     cor = make_synthetic_scene("corridor", seed=0)
     lm = build_local_map(cor.scans, cor.poses, 13, MapSetup(1, 1, 0.4, normal_k=10))
     sc = voxel_downsample(cor.scan(13), 0.1)
-    rec = run_monte_carlo(sc, lm, cor.pose(13), PerturbationSpec(2, 1, 1, 1, 1, 1),
+    rec = run_monte_carlo(sc, NeighborIndex(lm), cor.pose(13), PerturbationSpec(2, 1, 1, 1, 1, 1),
                           200, IcpConfig(), seed=0, frame_id=13)
     var = np.diag(rec.covariance)
     corridor_ratio = float(var[0] / var[1])
@@ -170,7 +171,7 @@ def test_acceptance_04_scene_conditioning():
     for k in range(len(room)):
         lm = build_local_map(room.scans, room.poses, k, MapSetup(1, 1, 0.2, normal_k=10))
         sc = voxel_downsample(room.scan(k), 0.1)
-        recs.append(run_monte_carlo(sc, lm, room.pose(k), PerturbationSpec(),
+        recs.append(run_monte_carlo(sc, NeighborIndex(lm), room.pose(k), PerturbationSpec(),
                                     200, IcpConfig(), seed=0, frame_id=k))
     w = np.linalg.eigvalsh(average_covariance(recs)[:3, :3])
     room_ratio = float(w[-1] / w[0])

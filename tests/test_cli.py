@@ -46,6 +46,26 @@ def handcrafted_dataset(path, n_frames=4):
     write_dataset(path, {"source": "handcrafted"}, recs)
 
 
+def spy_map_builds(monkeypatch):
+    """-> ([(frame, local map)], [cloud of each NeighborIndex]), filled as
+    build_local_map and NeighborIndex run."""
+    maps, indexed = [], []
+    build, init = cloud.build_local_map, cloud.NeighborIndex.__init__
+
+    def build_spy(scans, poses, k, setup):
+        local_map = build(scans, poses, k, setup)
+        maps.append((k, local_map))
+        return local_map
+
+    def init_spy(self, c):
+        indexed.append(c)
+        init(self, c)
+
+    monkeypatch.setattr(cloud, "build_local_map", build_spy)
+    monkeypatch.setattr(cloud.NeighborIndex, "__init__", init_spy)
+    return maps, indexed
+
+
 @pytest.fixture(scope="module")
 def ws(tmp_path_factory):
     """Run the generate/train/eval/fuse chain once in a scratch directory."""
@@ -337,6 +357,14 @@ class TestGenerate:
                          "--set", "paths.dataset=ds.csv"]) == 0
         assert (rerun / "ds.csv").read_bytes() == (ws["root"] / "ds.csv").read_bytes()
 
+    def test_one_index_per_labelled_frame(self, ws, monkeypatch):
+        maps, indexed = spy_map_builds(monkeypatch)
+        monkeypatch.chdir(ws["root"])
+        assert cli.main(["generate", *COMMON, *GENERATE, "--threads", "2",
+                         "--set", "paths.dataset=ds_indexed.csv"]) == 0
+        assert sorted(k for k, _ in maps) == [0, 1, 2, 3]
+        assert sorted(map(id, indexed)) == sorted(id(m) for _, m in maps)
+
     def test_empty_frame_range(self, ws, monkeypatch, capsys):
         monkeypatch.chdir(ws["root"])
         rc = cli.main(["generate", *COMMON, *GENERATE,
@@ -448,19 +476,13 @@ class TestFuse:
         assert not (tmp_path / "trajectory_fixed_cov.txt").exists()
 
     def test_all_modes_build_each_map_once(self, ws, monkeypatch):
-        built = []
-        real = cloud.build_local_map
-
-        def spy(scans, poses, k, setup):
-            built.append(k)
-            return real(scans, poses, k, setup)
-
-        monkeypatch.setattr(cloud, "build_local_map", spy)
+        maps, indexed = spy_map_builds(monkeypatch)
         monkeypatch.chdir(ws["root"])
         assert cli.main(["fuse", *COMMON,
                          "--set", "paths.dataset=train_ds.csv", "--set", "paths.model=model.txt",
                          "--set", "paths.out_dir=fuse_once", "--set", "fusion.seed=3"]) == 0
-        assert built == [1, 2, 3]
+        assert [k for k, _ in maps] == [1, 2, 3]
+        assert indexed == [m for _, m in maps]
 
     def test_predicted_mode_requires_model_file(self, ws):
         rc = cli.main(["fuse", *COMMON,

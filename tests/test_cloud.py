@@ -1,6 +1,8 @@
 """Point-cloud I/O, voxel filtering, normals, neighbor search, local maps."""
 
+import gc
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -358,7 +360,9 @@ class TestMapSetup:
     def test_frame_is_filtered_scan_and_local_map(self, room_sequence):
         seq = room_sequence
         setup = MapSetup(1, 1, map_voxel=0.4, scan_voxel=0.3, normal_k=6)
-        scan, local_map = setup.frame(seq, 1)
+        scan, index = setup.frame(seq, 1)
+        assert isinstance(index, NeighborIndex)
+        local_map = index.cloud
         assert np.array_equal(scan.points, voxel_downsample(seq.scan(1), 0.3).points)
         assert np.array_equal(setup.scan(seq, 1).points, scan.points)
         merged = np.vstack([transform_cloud(seq.scan(i), seq.pose(i)).points for i in range(3)])
@@ -384,6 +388,18 @@ class TestSequences:
         for i in range(3):
             assert np.array_equal(seq.scan(i).points, clouds[i])
             assert np.array_equal(seq.pose(i).matrix(), poses[i].matrix())
+
+    def test_kitti_scan_cache_does_not_keep_the_sequence(self, tmp_path):
+        scan_dir = tmp_path / "scans"
+        scan_dir.mkdir()
+        save_kitti_scan(scan_dir / "000000.bin", PointCloud([[1.0, 2.0, 3.0]]))
+        save_kitti_poses(tmp_path / "poses.txt", [se3.SE3.identity()])
+        seq = KittiSequence(scan_dir, tmp_path / "poses.txt")
+        assert seq.scan(0) is seq.scan(0)
+        ref = weakref.ref(seq)
+        del seq
+        gc.collect()
+        assert ref() is None
 
     def test_missing_scan_dir(self, tmp_path):
         with pytest.raises(MissingPose):

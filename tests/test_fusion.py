@@ -47,7 +47,7 @@ def truth_oracle(sequence, frames):
     """Align stub returning the ground-truth pose of each visited frame."""
     it = iter(sorted(frames)[1:])
 
-    def align(source, target, initial, cfg):
+    def align(source, index, initial, cfg):
         return SimpleNamespace(estimate=sequence.pose(next(it)))
 
     return align
@@ -254,7 +254,7 @@ class TestRunFusion:
             map=MapSetup(1, 1, map_voxel=0.4, scan_voxel=0.3),
             motion_sigma_xyz=0.0, motion_sigma_rot_deg=0.0,
         )
-        passthrough = lambda source, target, initial, cfg: SimpleNamespace(estimate=initial)
+        passthrough = lambda source, index, initial, cfg: SimpleNamespace(estimate=initial)
         truth = truth_trajectory(small_room, frames)
         for mode, kw in [
             ("icp_only", {}),
@@ -305,7 +305,7 @@ class TestRunFusion:
     def test_seeded_odometry_noise_repeats(self, small_room):
         frames = list(range(4))
         setup = FusionSetup(map=MapSetup(1, 1, map_voxel=0.4, scan_voxel=0.3))
-        passthrough = lambda source, target, initial, cfg: SimpleNamespace(estimate=initial)
+        passthrough = lambda source, index, initial, cfg: SimpleNamespace(estimate=initial)
 
         def run(seed):
             return run_fusion(small_room, frames, ("icp_only",), setup, seed=seed,

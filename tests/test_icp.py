@@ -10,7 +10,7 @@ from licov import se3
 from licov.cloud import MapSetup, NeighborIndex, PointCloud, build_local_map, transform_cloud
 from licov.errors import NoCorrespondences
 from licov.icp import (
-    _RANK_TOL, IcpConfig, IcpResult, _Matcher, icp_point_to_plane, point_to_plane_rmse,
+    _RANK_TOL, IcpConfig, IcpResult, _Matcher, icp_point_to_plane,
 )
 
 XI0 = np.array([0.1, -0.2, 0.05, 0.01, 0.02, -0.03])
@@ -68,6 +68,17 @@ def ref_icp(source, target, initial, config=IcpConfig(), index=None, workers=1):
                      float(cond), singular, normal_matrix)
 
 
+def full_query_rmse(source, index, estimate, config):
+    """Gated point-to-plane RMSE at a fixed estimate, from one full query."""
+    target = index.cloud
+    p = estimate.apply(source.points)
+    d, j = index.query_batch(p)
+    mask = d <= config.max_correspondence_distance
+    j = j[mask]
+    r = np.einsum("ij,ij->i", p[mask] - target.points[j], target.normals[j])
+    return float(np.sqrt(np.mean(r**2)))
+
+
 def result_bytes(res: IcpResult):
     return (res.estimate.matrix().tobytes(), np.float64(res.final_rmse).tobytes(),
             np.float64(res.condition_number).tobytes(), res.iterations_used,
@@ -92,7 +103,7 @@ def plane_grid(nx=21, ny=21, spacing=0.2):
 class TestConvergence:
     def test_self_alignment_is_immediate(self, room_map):
         source = PointCloud(room_map.points)
-        res = icp_point_to_plane(source, room_map, se3.SE3.identity())
+        res = icp_point_to_plane(source, NeighborIndex(room_map), se3.SE3.identity())
         assert res.converged
         assert res.iterations_used <= 2
         assert np.max(np.abs(res.estimate.matrix() - np.eye(4))) < 1e-8
@@ -100,7 +111,7 @@ class TestConvergence:
 
     def test_recovers_known_offset(self, room_map):
         source = transform_cloud(PointCloud(room_map.points), se3.exp(XI0))
-        res = icp_point_to_plane(source, room_map, se3.SE3.identity())
+        res = icp_point_to_plane(source, NeighborIndex(room_map), se3.SE3.identity())
         assert res.converged
         got = se3.log(res.estimate)
         assert np.allclose(got[:3], -XI0[:3], atol=1e-4)
@@ -109,14 +120,15 @@ class TestConvergence:
     def test_rmse_not_worse_than_initial(self, room_map):
         source = transform_cloud(PointCloud(room_map.points), se3.exp(XI0))
         cfg = IcpConfig()
-        before = point_to_plane_rmse(source, room_map, se3.SE3.identity(), cfg)
-        res = icp_point_to_plane(source, room_map, se3.SE3.identity(), cfg)
+        index = NeighborIndex(room_map)
+        before = full_query_rmse(source, index, se3.SE3.identity(), cfg)
+        res = icp_point_to_plane(source, index, se3.SE3.identity(), cfg)
         assert res.final_rmse <= before
 
     def test_iteration_budget_respected(self, room_map):
         source = transform_cloud(PointCloud(room_map.points), se3.exp(XI0))
         cfg = IcpConfig(max_iterations=2, translation_eps=1e-12, rotation_eps=1e-12)
-        res = icp_point_to_plane(source, room_map, se3.SE3.identity(), cfg)
+        res = icp_point_to_plane(source, NeighborIndex(room_map), se3.SE3.identity(), cfg)
         assert res.iterations_used == 2
         assert not res.converged
 
@@ -126,7 +138,7 @@ class TestDegeneracy:
         target = plane_grid()
         source = PointCloud(target.points)
         initial = se3.exp([0.3, 0.2, 0.0, 0, 0, 0])
-        res = icp_point_to_plane(source, target, initial)
+        res = icp_point_to_plane(source, NeighborIndex(target), initial)
         assert res.singular
         assert res.condition_number > 1e6
         # the unobservable in-plane offset must come out untouched
@@ -137,7 +149,7 @@ class TestDegeneracy:
         target = plane_grid()
         source = PointCloud(target.points)
         initial = se3.exp([0.3, 0.2, 0.5, 0, 0, 0])
-        res = icp_point_to_plane(source, target, initial)
+        res = icp_point_to_plane(source, NeighborIndex(target), initial)
         assert res.converged
         assert np.allclose(res.estimate.t, [0.3, 0.2, 0.0], atol=1e-9)
 
@@ -145,7 +157,7 @@ class TestDegeneracy:
         # with all normals on +z, columns for x shift, y shift and yaw vanish
         target = plane_grid()
         source = PointCloud(target.points)
-        res = icp_point_to_plane(source, target, se3.SE3.identity())
+        res = icp_point_to_plane(source, NeighborIndex(target), se3.SE3.identity())
         a = res.normal_matrix
         vals, vecs = np.linalg.eigh(a)
         null = vecs[:, vals < 1e-9 * vals[-1]]
@@ -159,7 +171,7 @@ class TestDegeneracy:
 
     def test_normal_matrix_shape_and_symmetry(self, room_map):
         source = PointCloud(room_map.points)
-        res = icp_point_to_plane(source, room_map, se3.SE3.identity())
+        res = icp_point_to_plane(source, NeighborIndex(room_map), se3.SE3.identity())
         a = res.normal_matrix
         assert a.shape == (6, 6)
         assert np.allclose(a, a.T, atol=1e-9)
@@ -170,8 +182,8 @@ class TestEquivariance:
     def test_rotated_problem_gives_rotated_answer(self, room_map):
         g = se3.SE3(se3.rot_z(np.deg2rad(30.0)), np.zeros(3))
         source = transform_cloud(PointCloud(room_map.points), se3.exp(XI0))
-        res = icp_point_to_plane(source, room_map, se3.SE3.identity())
-        res_g = icp_point_to_plane(source, transform_cloud(room_map, g), g)
+        res = icp_point_to_plane(source, NeighborIndex(room_map), se3.SE3.identity())
+        res_g = icp_point_to_plane(source, NeighborIndex(transform_cloud(room_map, g)), g)
         expected = g @ res.estimate
         assert np.allclose(res_g.estimate.matrix(), expected.matrix(), atol=1e-6)
 
@@ -180,14 +192,14 @@ class TestErrors:
     def test_target_without_normals_rejected(self):
         cloud = PointCloud([[0, 0, 0], [1, 0, 0]])
         with pytest.raises(ValueError):
-            icp_point_to_plane(cloud, cloud, se3.SE3.identity())
+            icp_point_to_plane(cloud, NeighborIndex(cloud), se3.SE3.identity())
 
     def test_gate_rejecting_everything(self):
         target = plane_grid()
         source = PointCloud(target.points + np.array([100.0, 0, 0]))
         cfg = IcpConfig(max_correspondence_distance=0.5)
         with pytest.raises(NoCorrespondences):
-            icp_point_to_plane(source, target, se3.SE3.identity(), cfg)
+            icp_point_to_plane(source, NeighborIndex(target), se3.SE3.identity(), cfg)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -206,8 +218,8 @@ def frames(corridor_sequence, room_sequence):
     out = {}
     for name, seq, k in (("corridor", corridor_sequence, 2), ("corridor", corridor_sequence, 12),
                          ("room", room_sequence, 5)):
-        scan, local_map = SETUP.frame(seq, k)
-        out[name, k] = (scan, local_map, NeighborIndex(local_map), seq.pose(k))
+        scan, index = SETUP.frame(seq, k)
+        out[name, k] = (scan, index.cloud, index, seq.pose(k))
     return out
 
 
@@ -222,7 +234,7 @@ class TestCachedCorrespondences:
         for run in range(3):
             start = se3.exp(rng.normal(size=6) * sigma) @ pose
             workers = 1 + run % 2
-            got = icp_point_to_plane(scan, local_map, start, index=index, workers=workers)
+            got = icp_point_to_plane(scan, index, start, workers=workers)
             want = ref_icp(scan, local_map, start, index=index, workers=workers)
             assert result_bytes(got) == result_bytes(want)
 
@@ -230,7 +242,7 @@ class TestCachedCorrespondences:
         far = room_map.points[::7] + np.array([0.0, 0.0, 50.0])
         source = transform_cloud(PointCloud(np.vstack([room_map.points, far])), se3.exp(XI0))
         cfg = IcpConfig(max_correspondence_distance=0.5)
-        got = icp_point_to_plane(source, room_map, se3.SE3.identity(), cfg)
+        got = icp_point_to_plane(source, NeighborIndex(room_map), se3.SE3.identity(), cfg)
         want = ref_icp(source, room_map, se3.SE3.identity(), cfg)
         assert result_bytes(got) == result_bytes(want)
 
@@ -243,12 +255,12 @@ class TestCachedCorrespondences:
         target = PointCloud(grid, tilt / np.linalg.norm(tilt, axis=1, keepdims=True))
         source = PointCloud(grid[::3] + [0.5, 0.5, 0.25])
         for initial in (se3.SE3.identity(), se3.exp([0.5, 0.0, 0.3, 0, 0, 0.01])):
-            got = icp_point_to_plane(source, target, initial)
+            got = icp_point_to_plane(source, NeighborIndex(target), initial)
             want = ref_icp(source, target, initial)
             assert result_bytes(got) == result_bytes(want)
 
     def test_fewer_points_queried_than_iterations_times_scan(self, frames, monkeypatch):
-        scan, local_map, index, pose = frames["corridor", 12]
+        scan, _, index, pose = frames["corridor", 12]
         queried = []
         query = NeighborIndex.query_batch
 
@@ -258,7 +270,7 @@ class TestCachedCorrespondences:
 
         monkeypatch.setattr(NeighborIndex, "query_batch", spy)
         start = se3.exp(FUSE_PRIOR) @ pose
-        res = icp_point_to_plane(scan, local_map, start, index=index)
+        res = icp_point_to_plane(scan, index, start)
         assert res.iterations_used > 2
         assert queried[0] == len(scan)
         assert sum(queried) < res.iterations_used * len(scan)

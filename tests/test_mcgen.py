@@ -35,7 +35,7 @@ def stub_align(pose_fn):
     """Alignment stand-in: ignores the clouds, returns pose_fn(call_index)."""
     state = {"i": 0}
 
-    def align(source, target, initial, cfg):
+    def align(source, index, initial, cfg):
         i = state["i"]
         state["i"] += 1
         return SimpleNamespace(estimate=pose_fn(i))
@@ -199,11 +199,11 @@ class TestRunMonteCarlo:
 
     def test_real_icp_deterministic(self):
         seq = make_synthetic_scene("room", density=3.0, n_frames=3, seed=5)
-        scan, local_map = MapSetup(1, 1, map_voxel=0.4, scan_voxel=0.3).frame(seq, 1)
+        scan, index = MapSetup(1, 1, map_voxel=0.4, scan_voxel=0.3).frame(seq, 1)
         spec = PerturbationSpec(0.1, 0.1, 0.1, 2.0, 2.0, 2.0)
         cfg = IcpConfig(max_iterations=10)
         recs = [
-            run_monte_carlo(scan, local_map, seq.pose(1), spec, 4, cfg, seed=3, frame_id=1)
+            run_monte_carlo(scan, index, seq.pose(1), spec, 4, cfg, seed=3, frame_id=1)
             for _ in range(2)
         ]
         assert np.array_equal(recs[0].covariance, recs[1].covariance)

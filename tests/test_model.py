@@ -10,7 +10,7 @@ from licov import se3
 from licov.cloud import PointCloud
 from licov.errors import DataError, EmptyDataset, NotPositiveDefinite, NumericError
 from licov.mcgen import CovRecord, pack_upper
-from licov.features import extract_features
+from licov.features import extract_features, with_normals
 from licov.model import (
     DIAG_FLOOR,
     RegressionModel,
@@ -283,7 +283,7 @@ class TestAnalyticGradient:
             "b2": (m0.b2 - m1.b2) / lr,
         }
 
-        from licov.features import extract_features
+        from licov.features import extract_features, with_normals
 
         f_n = (extract_features(scan) - m0.feat_mean) / m0.feat_scale
 
@@ -345,7 +345,7 @@ class TestAnalyticGradient:
             np.random.default_rng(np.random.SeedSequence((9, 1))),
         )
         idx = [r.frame_id for r in batch]
-        from licov.features import extract_features
+        from licov.features import extract_features, with_normals
 
         f_ns = [
             (extract_features(s) - m0.feat_mean) / m0.feat_scale for s in scans
@@ -626,7 +626,7 @@ class TestTraining:
         samples = [(make_record(0, cov), scan)]
         cfg = TrainConfig(steps=1, batch_size=3, seed=6, augment=False, learning_rate=0.0)
         model, losses = train(samples, cfg)
-        from licov.features import extract_features
+        from licov.features import extract_features, with_normals
 
         y = params_to_cov(model.forward(extract_features(scan)))
         assert abs(losses[0] - (0.1 * loss_kl(y, cov) + 0.9 * loss_huber(y, cov))) < 1e-12
@@ -728,7 +728,7 @@ def ref_head(raw, y_bar, alpha=0.1, beta=0.9, delta=1e-3):
 
 def ref_train(samples, config, normal_k=10):
     records = [rec for rec, _ in samples]
-    scans = [model_mod._with_normals(scan, normal_k) for _, scan in samples]
+    scans = [with_normals(scan, normal_k) for _, scan in samples]
     base_feats = [extract_features(s, normal_k) for s in scans]
     feats = np.asarray(base_feats)
     feat_scale = feats.std(axis=0)

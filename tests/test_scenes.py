@@ -1,9 +1,12 @@
 """Synthetic scene sequences: determinism, geometry, and conditioning."""
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from licov.errors import ConfigError
-from licov.scenes import make_synthetic_scene
+from licov.scenes import SyntheticSequence, make_synthetic_scene
 
 
 class TestFactory:
@@ -48,6 +51,36 @@ class TestDeterminism:
     def test_frames_use_independent_substreams(self):
         seq = make_synthetic_scene("room", density=6, seed=3)
         assert not np.array_equal(seq.scan(0).points, seq.scan(1).points)
+
+
+class TestScanCache:
+    def test_concurrent_reads_past_the_cache_size(self, monkeypatch):
+        # near-free scans and frequent thread switches make evictions overlap
+        monkeypatch.setattr(SyntheticSequence, "_generate", lambda self, k: k)
+        seq = make_synthetic_scene("plane", n_frames=400)
+        errors = []
+
+        def read(offset):
+            for _ in range(200):
+                for k in range(len(seq)):
+                    f = (k + offset) % len(seq)
+                    try:
+                        assert seq.scan(f) == f
+                    except Exception as e:
+                        errors.append(e)
+
+        threads = [threading.Thread(target=read, args=(100 * i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
 
 
 class TestGeometry:
