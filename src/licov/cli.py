@@ -61,6 +61,7 @@ def _load(args) -> RunConfig:
 
 
 def cmd_generate(cfg: RunConfig, threads: int) -> int:
+    spec, icp, setup = cfg.perturbation_spec(), cfg.icp_config(), cfg.map_setup()
     seq = cfg.sequence()
     frames = parse_frames(cfg.get("montecarlo", "frames"), len(seq))
     out = cfg.get("paths", "dataset")
@@ -74,12 +75,12 @@ def cmd_generate(cfg: RunConfig, threads: int) -> int:
     summary = mcgen.generate_dataset(
         seq,
         frames,
-        cfg.perturbation_spec(),
+        spec,
         cfg.get("montecarlo", "n"),
-        cfg.icp_config(),
+        icp,
         cfg.get("montecarlo", "seed"),
         out,
-        setup=cfg.map_setup(),
+        setup=setup,
         threads=threads,
         extra_metadata=cfg.echo(),
         progress=progress,
@@ -91,8 +92,9 @@ def cmd_generate(cfg: RunConfig, threads: int) -> int:
     return 0
 
 
-def _dataset_samples(cfg: RunConfig, seq):
+def _dataset_samples(cfg: RunConfig):
     setup = cfg.map_setup()
+    seq = cfg.sequence()
     _, records = mcgen.read_dataset(cfg.get("paths", "dataset"))
     samples = []
     for rec in records:
@@ -103,9 +105,8 @@ def _dataset_samples(cfg: RunConfig, seq):
 
 
 def cmd_train(cfg: RunConfig, threads: int) -> int:
-    seq = cfg.sequence()
-    _, samples = _dataset_samples(cfg, seq)
     tc = cfg.train_config()
+    _, samples = _dataset_samples(cfg)
 
     def progress(step, loss):
         if (step + 1) % max(1, tc.steps // 10) == 0:
@@ -126,8 +127,7 @@ def cmd_train(cfg: RunConfig, threads: int) -> int:
 
 
 def cmd_eval(cfg: RunConfig, threads: int) -> int:
-    seq = cfg.sequence()
-    records, samples = _dataset_samples(cfg, seq)
+    records, samples = _dataset_samples(cfg)
     trained, _ = model_mod.load_model(cfg.get("paths", "model"))
     normal_k = cfg.get("map", "normal_k")
     predictions = [model_mod.predict(trained, scan, normal_k) for _, scan in samples]
@@ -144,10 +144,10 @@ def cmd_eval(cfg: RunConfig, threads: int) -> int:
 
 
 def cmd_fuse(cfg: RunConfig, threads: int) -> int:
-    seq = cfg.sequence()
-    frames = parse_frames(cfg.get("fusion", "frames"), len(seq))
     modes = cfg.fusion_modes()
     setup = cfg.fusion_setup()
+    seq = cfg.sequence()
+    frames = parse_frames(cfg.get("fusion", "frames"), len(seq))
     seed = cfg.get("fusion", "seed")
     out_dir = cfg.get("paths", "out_dir")
     os.makedirs(out_dir, exist_ok=True)

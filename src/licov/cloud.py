@@ -74,8 +74,15 @@ class MapSetup:
     normal_k: int = 10
 
     def __post_init__(self):
-        if self.window_before < 0 or self.window_after < 0:
-            raise ValueError("window bounds must be non-negative")
+        for name in ("window_before", "window_after"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
+        for name in ("map_voxel", "scan_voxel"):
+            v = getattr(self, name)
+            if not (np.isfinite(v) and v > 0):
+                raise ValueError(f"{name} must be finite and positive, got {v}")
+        if self.normal_k < 3:
+            raise ValueError(f"normal_k must be at least 3, got {self.normal_k}")
 
     def scan(self, sequence, k) -> PointCloud:
         """Frame k's scan, voxel filtered at scan_voxel."""

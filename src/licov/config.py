@@ -141,17 +141,25 @@ class RunConfig:
 
     # typed views -----------------------------------------------------
 
+    def _typed(self, section, cls):
+        """cls built from a section; a rejected value is a ConfigError that
+        names it (each typed config's ValueError starts with the field)."""
+        try:
+            return cls(**self._values[section])
+        except ValueError as e:
+            raise ConfigError(f"{section}.{e}") from None
+
     def perturbation_spec(self) -> PerturbationSpec:
-        return PerturbationSpec(**self._values["perturbation"])
+        return self._typed("perturbation", PerturbationSpec)
 
     def icp_config(self) -> IcpConfig:
-        return IcpConfig(**self._values["icp"])
+        return self._typed("icp", IcpConfig)
 
     def map_setup(self) -> MapSetup:
-        return MapSetup(**self._values["map"])
+        return self._typed("map", MapSetup)
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(**self._values["train"])
+        return self._typed("train", TrainConfig)
 
     def fusion_setup(self) -> FusionSetup:
         f = self._values["fusion"]

@@ -20,8 +20,8 @@ from .errors import NoCorrespondences
 # rank deficient and the increment falls back to the pseudo-inverse.
 _RANK_TOL = 1e-12
 
-# A cached neighbour's slack is cut by this share of its gap and of its
-# distance: far above the few-ulp error of a computed distance, so the
+# A kept match's distance and motion are raised, and its bound lowered, by
+# this share: far above the few-ulp error of a computed distance, so the
 # triangle-inequality argument of _Matcher holds for computed values too.
 _ROUNDING = 1e-12
 
@@ -63,12 +63,15 @@ class _Matcher:
     neighbour may have changed (cached k-d tree search: Nuechter,
     Lingemann & Hertzberg, 3DIM 2007).
 
-    A k = 2 query stores each point's position, nearest map point and
-    slack, half the gap between its two nearest distances. A point that has
-    since moved less than its slack is, by the triangle inequality, still
-    strictly nearest to that map point, so it keeps it and only its
-    distance is recomputed. Every other point is queried again. A zero
-    slack marks an exact tie, and a tie takes the id a k = 1 query gives.
+    A k = 2 query stores each point's position a, its nearest map point j
+    and its second-nearest distance d2(a). Every map point but j lies at
+    least d2(a) from a, so at least d2(a) - |p - a| from the point's new
+    position p (triangle inequality). A point keeps j while
+    |p - m_j| + |p - a| < d2(a): then j is still strictly nearest, and
+    |p - m_j| is the distance that is returned anyway. The test carries a
+    _ROUNDING margin on both sides, so it holds for computed distances too.
+    Every other point is queried again. An exact tie (d1 = d2) never passes
+    the test at a, and a tie takes the id a k = 1 query gives.
     """
 
     def __init__(self, index: NeighborIndex, n: int, workers: int):
@@ -76,38 +79,42 @@ class _Matcher:
         self._workers = workers
         self._map = index.cloud.points
         self._at = np.zeros((n, 3))
-        self._slack = np.full(n, -np.inf)  # the first call queries every point
+        self._bound = np.full(n, -np.inf)  # the first call queries every point
         self._j = np.zeros(n, dtype=np.intp)
 
     def __call__(self, p):
-        """-> (distances, ids) of p's points, as index.query_batch(p) gives them."""
-        stale = np.flatnonzero(~(_norm(p - self._at) < self._slack))
+        """-> (distances, ids, offsets p - matched map points) of p's points;
+        distances and ids as index.query_batch(p) gives them."""
+        j = self._j
+        off = p - self._map.take(j, axis=0)
+        # kept points' distances, summed as the tree sums them
+        d = _norm(off)
+        moved = _norm(p - self._at)
+        stale = np.flatnonzero(~((1.0 + _ROUNDING) * (d + moved) < self._bound))
         q = p.take(stale, axis=0)
         dk, jk = self._index.query_batch(q, k=2, workers=self._workers)
         tie = dk[:, 0] == dk[:, 1]
         if tie.any():
             jk[tie, 0] = self._index.query_batch(q[tie], workers=self._workers)[1]
-        j = self._j
-        j[stale] = jk[:, 0]
+        js = jk[:, 0]
+        j[stale] = js
         self._at[stale] = q
-        gap = 0.5 * (dk[:, 1] - dk[:, 0])
-        self._slack[stale] = (1.0 - _ROUNDING) * gap - _ROUNDING * dk[:, 0]
-        # kept points' distances, summed as the tree sums them; queried ones from the tree
-        d = _norm(p - self._map.take(j, axis=0))
+        self._bound[stale] = (1.0 - _ROUNDING) * dk[:, 1]
+        off[stale] = q - self._map.take(js, axis=0)
         d[stale] = dk[:, 0]
-        return d, j.copy()
+        return d, j.copy(), off
 
 
-def _residuals(p, d, j, gate: float, target: PointCloud):
+def _residuals(p, d, j, off, gate: float, target: PointCloud):
     """-> (gated points, normals of their map points, point-to-plane residuals)
-    for points p whose nearest map points j lie at distances d."""
+    for points p whose nearest map points j lie at distances d and offsets off."""
     mask = d <= gate
-    if not mask.any():
-        raise NoCorrespondences("correspondence gate rejected every candidate pair")
-    j = j[mask]
-    pm = p[mask]
+    if not mask.all():
+        if not mask.any():
+            raise NoCorrespondences("correspondence gate rejected every candidate pair")
+        p, j, off = p[mask], j[mask], off[mask]
     n = target.normals.take(j, axis=0)
-    return pm, n, np.einsum("ij,ij->i", pm - target.points.take(j, axis=0), n)
+    return p, n, np.einsum("ij,ij->i", off, n)
 
 
 def icp_point_to_plane(
@@ -132,6 +139,7 @@ def icp_point_to_plane(
     src = source.points
 
     match = _Matcher(index, len(src), workers)
+    jac_buf = np.empty((len(src), 6))
     estimate = initial
     converged = False
     singular = False
@@ -142,7 +150,13 @@ def icp_point_to_plane(
         iterations += 1
         p = estimate.apply(src)
         pm, n, r = _residuals(p, *match(p), gate, target)
-        jac = np.hstack([n, np.cross(pm, n)])
+        # [n, pm x n], the cross product in np.cross's operation order
+        jac = jac_buf[: len(r)]
+        jac[:, :3] = n
+        (x, y, z), (nx, ny, nz) = pm.T, n.T
+        np.subtract(y * nz, z * ny, out=jac[:, 3])
+        np.subtract(z * nx, x * nz, out=jac[:, 4])
+        np.subtract(x * ny, y * nx, out=jac[:, 5])
         A = jac.T @ jac
         b = -(jac.T @ r)
         eig = np.linalg.eigvalsh(A)

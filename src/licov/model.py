@@ -213,10 +213,12 @@ class TrainConfig:
     label_floor: float = 0.0
 
     def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("alpha and beta must be non-negative")
-        if self.steps < 1 or self.batch_size < 1:
-            raise ValueError("steps and batch_size must be >= 1")
+        for name in ("alpha", "beta"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative")
+        for name in ("steps", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.huber_delta <= 0:
             raise ValueError("huber_delta must be positive")
         if self.label_floor < 0:

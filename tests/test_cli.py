@@ -130,6 +130,20 @@ class TestUsageErrors:
             assert cli.main([command, *COMMON, "--set", "map.window_before=-1",
                              "--set", "paths.dataset=/nonexistent.csv"]) == 1
 
+    @pytest.mark.parametrize("command", ["generate", "train", "eval", "fuse"])
+    @pytest.mark.parametrize("key,value", [
+        ("normal_k", "2"), ("map_voxel", "0"), ("map_voxel", "nan"),
+        ("scan_voxel", "-0.1"), ("scan_voxel", "inf"),
+    ])
+    def test_bad_map_setting_named_before_reading_data(self, capsys, command, key, value):
+        # every input is missing, so reading any of them would exit 2
+        missing = ["--set", "sequence.kind=kitti", "--set", "sequence.scan_dir=/nonexistent",
+                   "--set", "sequence.pose_file=/nonexistent.txt",
+                   "--set", "paths.dataset=/nonexistent.csv", "--set", "paths.model=/nonexistent.txt"]
+        assert cli.main([command, *missing, "--set", f"map.{key}={value}"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: map.{key} ") and err.count("\n") == 1
+
     def test_synth_requires_synthetic(self):
         assert cli.main(["synth", "--set", "sequence.kind=kitti"]) == 1
 

@@ -354,8 +354,17 @@ class TestLocalMap:
 class TestMapSetup:
     def test_negative_window_rejected(self):
         for bounds in ({"window_before": -1}, {"window_after": -1}):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=f"^{next(iter(bounds))} "):
                 MapSetup(**bounds)
+
+    @pytest.mark.parametrize("key,value", [
+        ("normal_k", 2), ("normal_k", -1), ("map_voxel", 0.0), ("map_voxel", -1.0),
+        ("map_voxel", np.nan), ("scan_voxel", 0.0), ("scan_voxel", np.inf),
+    ])
+    def test_normal_k_and_voxels_rejected(self, key, value):
+        with pytest.raises(ValueError, match=f"^{key} "):
+            MapSetup(**{key: value})
+        assert MapSetup(normal_k=3, map_voxel=1e-3, scan_voxel=1e-3).normal_k == 3
 
     def test_frame_is_filtered_scan_and_local_map(self, room_sequence):
         seq = room_sequence

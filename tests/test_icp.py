@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from licov import se3
+from licov import icp, se3
 from licov.cloud import MapSetup, NeighborIndex, PointCloud, build_local_map, transform_cloud
 from licov.errors import NoCorrespondences
 from licov.icp import (
-    _RANK_TOL, IcpConfig, IcpResult, _Matcher, icp_point_to_plane,
+    _RANK_TOL, _ROUNDING, IcpConfig, IcpResult, _Matcher, icp_point_to_plane,
 )
 
 XI0 = np.array([0.1, -0.2, 0.05, 0.01, 0.02, -0.03])
@@ -238,13 +238,28 @@ class TestCachedCorrespondences:
             want = ref_icp(scan, local_map, start, index=index, workers=workers)
             assert result_bytes(got) == result_bytes(want)
 
-    def test_points_beyond_the_gate(self, room_map):
-        far = room_map.points[::7] + np.array([0.0, 0.0, 50.0])
-        source = transform_cloud(PointCloud(np.vstack([room_map.points, far])), se3.exp(XI0))
+    def test_points_beyond_the_gate(self, room_map, monkeypatch):
+        # far points fail the gate in every iteration; without them a few
+        # points start beyond it and all pass once ICP closes in, so the
+        # masked and the all-pass path of _residuals both run
         cfg = IcpConfig(max_correspondence_distance=0.5)
-        got = icp_point_to_plane(source, NeighborIndex(room_map), se3.SE3.identity(), cfg)
-        want = ref_icp(source, room_map, se3.SE3.identity(), cfg)
-        assert result_bytes(got) == result_bytes(want)
+        all_pass = []
+        residuals = icp._residuals
+
+        def spy(p, d, *rest):
+            all_pass.append(bool((d <= cfg.max_correspondence_distance).all()))
+            return residuals(p, d, *rest)
+
+        monkeypatch.setattr(icp, "_residuals", spy)
+        far = room_map.points[::7] + np.array([0.0, 0.0, 50.0])
+        for points, paths in ((np.vstack([room_map.points, far]), {False}),
+                              (room_map.points, {False, True})):
+            source = transform_cloud(PointCloud(points), se3.exp(XI0))
+            all_pass.clear()
+            got = icp_point_to_plane(source, NeighborIndex(room_map), se3.SE3.identity(), cfg)
+            want = ref_icp(source, room_map, se3.SE3.identity(), cfg)
+            assert result_bytes(got) == result_bytes(want)
+            assert set(all_pass) == paths
 
     def test_lattice_with_exact_ties(self):
         # points half a cell off a unit grid are equidistant to 2 or 4 map
@@ -275,16 +290,59 @@ class TestCachedCorrespondences:
         assert queried[0] == len(scan)
         assert sum(queried) < res.iterations_used * len(scan)
 
+    @pytest.mark.parametrize("prior", ["label", "fuse"])
+    def test_queries_no_more_points_than_the_half_gap_rule(self, frames, monkeypatch, prior):
+        scan, _, index, pose = frames["corridor", 12]
+        positions, queried = [], []
+        call, query = _Matcher.__call__, NeighborIndex.query_batch
+
+        def call_spy(self, p):
+            positions.append(p.copy())
+            return call(self, p)
+
+        def query_spy(self, queries, k=1, workers=1):
+            if k == 2:
+                queried.append(len(queries))
+            return query(self, queries, k=k, workers=workers)
+
+        monkeypatch.setattr(_Matcher, "__call__", call_spy)
+        monkeypatch.setattr(NeighborIndex, "query_batch", query_spy)
+        sigma = LABEL_PRIOR if prior == "label" else FUSE_PRIOR
+        icp_point_to_plane(scan, index, se3.exp(sigma) @ pose)
+        monkeypatch.undo()
+        ref = half_gap_queries(index, positions)
+        assert len(queried) == len(ref) > 3
+        assert all(q <= r for q, r in zip(queried, ref))
+        assert sum(queried) < sum(ref)
+
+
+def half_gap_queries(index, positions):
+    """Points queried per call by the earlier retention rule along the same
+    positions: keep a match while the point has moved less than half the
+    gap between its two nearest distances at its last k = 2 query."""
+    at = np.zeros_like(positions[0])
+    slack = np.full(len(at), -np.inf)
+    counts = []
+    for p in positions:
+        stale = ~(np.linalg.norm(p - at, axis=1) < slack)
+        dk, _ = index.query_batch(p[stale], k=2)
+        at[stale] = p[stale]
+        slack[stale] = (1.0 - _ROUNDING) * 0.5 * (dk[:, 1] - dk[:, 0]) - _ROUNDING * dk[:, 0]
+        counts.append(int(stale.sum()))
+    return counts
+
 
 def assert_matches_full_query(index, points, moves, workers=1):
-    """Move points step by step; each answer must be a full query's bits."""
+    """Move points step by step; each answer must be a full query's bits,
+    and the offsets those of the points from their matched map points."""
     match = _Matcher(index, len(points), workers)
     for step in moves:
         points = points + step
-        d, j = match(points)
+        d, j, off = match(points)
         d_ref, j_ref = index.query_batch(points, workers=workers)
         assert d.tobytes() == d_ref.tobytes()
         assert j.tobytes() == j_ref.astype(j.dtype).tobytes()
+        assert off.tobytes() == (points - index.cloud.points[j]).tobytes()
 
 
 class TestMatcher:
