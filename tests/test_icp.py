@@ -317,9 +317,9 @@ class TestCachedCorrespondences:
 
 
 def half_gap_queries(index, positions):
-    """Points queried per call by the earlier retention rule along the same
-    positions: keep a match while the point has moved less than half the
-    gap between its two nearest distances at its last k = 2 query."""
+    """Points queried per call along the same positions by the half-gap
+    rule: keep a match while the point has moved less than half the gap
+    between its two nearest distances at its last k = 2 query."""
     at = np.zeros_like(positions[0])
     slack = np.full(len(at), -np.inf)
     counts = []
