@@ -61,9 +61,9 @@ def _load(args) -> RunConfig:
 
 
 def cmd_generate(cfg: RunConfig, threads: int) -> int:
-    spec, icp, setup = cfg.perturbation_spec(), cfg.icp_config(), cfg.map_setup()
+    mc = cfg.montecarlo
     seq = cfg.sequence()
-    frames = parse_frames(cfg.get("montecarlo", "frames"), len(seq))
+    frames = parse_frames(mc.frames, len(seq))
     out = cfg.get("paths", "dataset")
 
     def progress(frame, record):
@@ -75,12 +75,12 @@ def cmd_generate(cfg: RunConfig, threads: int) -> int:
     summary = mcgen.generate_dataset(
         seq,
         frames,
-        spec,
-        cfg.get("montecarlo", "n"),
-        icp,
-        cfg.get("montecarlo", "seed"),
+        cfg.perturbation,
+        mc.n,
+        cfg.icp,
+        mc.seed,
         out,
-        setup=setup,
+        setup=cfg.map,
         threads=threads,
         extra_metadata=cfg.echo(),
         progress=progress,
@@ -93,19 +93,18 @@ def cmd_generate(cfg: RunConfig, threads: int) -> int:
 
 
 def _dataset_samples(cfg: RunConfig):
-    setup = cfg.map_setup()
     seq = cfg.sequence()
     _, records = mcgen.read_dataset(cfg.get("paths", "dataset"))
     samples = []
     for rec in records:
         if not 0 <= rec.frame_id < len(seq):
             raise DataError(f"dataset frame {rec.frame_id} outside the sequence")
-        samples.append((rec, setup.scan(seq, rec.frame_id)))
+        samples.append((rec, cfg.map.scan(seq, rec.frame_id)))
     return records, samples
 
 
 def cmd_train(cfg: RunConfig, threads: int) -> int:
-    tc = cfg.train_config()
+    tc = cfg.train
     _, samples = _dataset_samples(cfg)
 
     def progress(step, loss):
@@ -113,7 +112,7 @@ def cmd_train(cfg: RunConfig, threads: int) -> int:
             print(f"step {step + 1}/{tc.steps}: loss {loss:.6g}")
 
     trained, losses = model_mod.train(
-        samples, tc, normal_k=cfg.get("map", "normal_k"), progress=progress
+        samples, tc, normal_k=cfg.map.normal_k, progress=progress
     )
     out = cfg.get("paths", "model")
     model_mod.save_model(out, trained, tc, extra=cfg.echo())
@@ -129,8 +128,7 @@ def cmd_train(cfg: RunConfig, threads: int) -> int:
 def cmd_eval(cfg: RunConfig, threads: int) -> int:
     records, samples = _dataset_samples(cfg)
     trained, _ = model_mod.load_model(cfg.get("paths", "model"))
-    normal_k = cfg.get("map", "normal_k")
-    predictions = [model_mod.predict(trained, scan, normal_k) for _, scan in samples]
+    predictions = [model_mod.predict(trained, scan, cfg.map.normal_k) for _, scan in samples]
     labels = [rec.covariance for rec in records]
     report = metrics.evaluate(predictions, labels)
     out = cfg.get("paths", "report")
@@ -144,8 +142,7 @@ def cmd_eval(cfg: RunConfig, threads: int) -> int:
 
 
 def cmd_fuse(cfg: RunConfig, threads: int) -> int:
-    modes = cfg.fusion_modes()
-    setup = cfg.fusion_setup()
+    modes = cfg.fusion_modes
     seq = cfg.sequence()
     frames = parse_frames(cfg.get("fusion", "frames"), len(seq))
     seed = cfg.get("fusion", "seed")
@@ -162,7 +159,7 @@ def cmd_fuse(cfg: RunConfig, threads: int) -> int:
 
     truth = fusion_mod.Trajectory(list(frames), [seq.pose(k) for k in frames])
     trajs = fusion_mod.run_fusion(
-        seq, frames, modes, setup, model=trained, fixed_cov=fixed,
+        seq, frames, modes, cfg.fusion, model=trained, fixed_cov=fixed,
         seed=seed, workers=threads,
     )
     rows = []

@@ -22,6 +22,7 @@ from .errors import (
     MissingPose,
     TooFewPoints,
     at_line,
+    require,
 )
 
 _RECORD_BYTES = 16
@@ -74,15 +75,9 @@ class MapSetup:
     normal_k: int = 10
 
     def __post_init__(self):
-        for name in ("window_before", "window_after"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
-        for name in ("map_voxel", "scan_voxel"):
-            v = getattr(self, name)
-            if not (np.isfinite(v) and v > 0):
-                raise ValueError(f"{name} must be finite and positive, got {v}")
-        if self.normal_k < 3:
-            raise ValueError(f"normal_k must be at least 3, got {self.normal_k}")
+        require(self, 0, "window_before", "window_after")
+        require(self, 0, "map_voxel", "scan_voxel", strict=True)
+        require(self, 3, "normal_k")
 
     def scan(self, sequence, k) -> PointCloud:
         """Frame k's scan, voxel filtered at scan_voxel."""

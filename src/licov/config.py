@@ -7,16 +7,17 @@ every artifact a command writes.
 from __future__ import annotations
 
 import configparser
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
+from types import SimpleNamespace
 
 from .cloud import MapSetup
 from .errors import ConfigError
 from .fusion import MODES, FusionSetup
 from .icp import IcpConfig
-from .mcgen import PerturbationSpec
+from .mcgen import MonteCarloSpec, PerturbationSpec
 from .model import TrainConfig
-from .scenes import make_synthetic_scene
-from .sequences import KittiSequence
+from .scenes import check_settings, make_synthetic_scene
+from .sequences import KittiSequence, frame_selection
 
 _BOOL_TRUE = {"1", "true", "yes", "on"}
 _BOOL_FALSE = {"0", "false", "no", "off"}
@@ -41,12 +42,17 @@ def _opt(kind):
 
 # Settings that mirror a typed config take their parser from the field's
 # annotation (a string under postponed evaluation) and their default from
-# the field itself; an annotation without a parser fails at import.
-_FIELD_PARSERS = {"float": float, "int": int, "bool": _parse_bool}
+# the field itself; an annotation without a parser fails at import. A field
+# holding another typed config is that config's own section.
+_FIELD_PARSERS = {"float": float, "int": int, "bool": _parse_bool, "str": str}
 
 
 def _section(cls):
-    return {f.name: (_FIELD_PARSERS[f.type], f.default) for f in fields(cls)}
+    return {
+        f.name: (_FIELD_PARSERS[f.type], f.default)
+        for f in fields(cls)
+        if not is_dataclass(f.default)
+    }
 
 
 # section -> key -> (parser, default)
@@ -65,18 +71,12 @@ SCHEMA = {
     "map": _section(MapSetup),
     "perturbation": _section(PerturbationSpec),
     "icp": _section(IcpConfig),
-    "montecarlo": {
-        "n": (int, 200),
-        "seed": (int, 0),
-        "frames": (str, "all"),
-    },
+    "montecarlo": _section(MonteCarloSpec),
     "train": _section(TrainConfig),
     "fusion": {
+        **_section(FusionSetup),
         "frames": (str, "all"),
         "seed": (int, 0),
-        "motion_sigma_xyz": (float, FusionSetup.motion_sigma_xyz),
-        "motion_sigma_rot_deg": (float, FusionSetup.motion_sigma_rot_deg),
-        "init_cov": (float, FusionSetup.init_cov),
         "modes": (str, " ".join(MODES)),
     },
     "paths": {
@@ -90,13 +90,32 @@ SCHEMA = {
 
 class RunConfig:
     """Schema-validated configuration resolved from defaults, an optional
-    INI file, and key=value overrides."""
+    INI file, and key=value overrides.
+
+    Every section is range-checked here, whichever command runs; the typed
+    ones are the attributes map, icp, perturbation, montecarlo, train and
+    fusion."""
 
     def __init__(self, values):
         self._values = values
+        _named("sequence", check_settings, SimpleNamespace(**values["sequence"]))
+        self.map = self._typed("map", MapSetup)
+        self.icp = self._typed("icp", IcpConfig)
+        self.perturbation = self._typed("perturbation", PerturbationSpec)
+        self.montecarlo = self._typed("montecarlo", MonteCarloSpec)
+        self.train = self._typed("train", TrainConfig)
+        self.fusion = self._typed("fusion", FusionSetup)
+        self.fusion_modes = _named("fusion", _modes, values["fusion"]["modes"])
+        _named("fusion", frame_selection, values["fusion"]["frames"])
 
-    def __getitem__(self, section):
-        return self._values[section]
+    def _typed(self, section, cls):
+        """cls from its section's own keys; a field that is a typed section
+        itself (FusionSetup.map, .icp) takes that section."""
+        own = self._values[section]
+        return _named(section, cls, **{
+            f.name: own[f.name] if f.name in own else getattr(self, f.name)
+            for f in fields(cls)
+        })
 
     def get(self, section, key):
         return self._values[section][key]
@@ -139,45 +158,6 @@ class RunConfig:
                 flat[f"{section}.{key}"] = text.replace(",", ";").replace("=", ":")
         return flat
 
-    # typed views -----------------------------------------------------
-
-    def _typed(self, section, cls):
-        """cls built from a section; a rejected value is a ConfigError that
-        names it (each typed config's ValueError starts with the field)."""
-        try:
-            return cls(**self._values[section])
-        except ValueError as e:
-            raise ConfigError(f"{section}.{e}") from None
-
-    def perturbation_spec(self) -> PerturbationSpec:
-        return self._typed("perturbation", PerturbationSpec)
-
-    def icp_config(self) -> IcpConfig:
-        return self._typed("icp", IcpConfig)
-
-    def map_setup(self) -> MapSetup:
-        return self._typed("map", MapSetup)
-
-    def train_config(self) -> TrainConfig:
-        return self._typed("train", TrainConfig)
-
-    def fusion_setup(self) -> FusionSetup:
-        f = self._values["fusion"]
-        return FusionSetup(
-            map=self.map_setup(),
-            icp=self.icp_config(),
-            motion_sigma_xyz=f["motion_sigma_xyz"],
-            motion_sigma_rot_deg=f["motion_sigma_rot_deg"],
-            init_cov=f["init_cov"],
-        )
-
-    def fusion_modes(self) -> list:
-        text = self._values["fusion"]["modes"].replace(",", " ")
-        modes = [m for m in text.split() if m]
-        if not modes:
-            raise ConfigError("fusion.modes is empty")
-        return modes
-
     def sequence(self):
         s = self._values["sequence"]
         if s["kind"] == "synthetic":
@@ -194,6 +174,23 @@ class RunConfig:
                 raise ConfigError("kitti sequence needs sequence.scan_dir and sequence.pose_file")
             return KittiSequence(s["scan_dir"], s["pose_file"])
         raise ConfigError(f"unknown sequence.kind {s['kind']!r}")
+
+
+def _named(section, check, *args, **kwargs):
+    """check(*args, **kwargs); its ValueError, which starts with the key it
+    rejects, becomes a ConfigError naming section.key."""
+    try:
+        return check(*args, **kwargs)
+    except ValueError as e:
+        raise ConfigError(f"{section}.{e}") from None
+
+
+def _modes(text):
+    """'a b' or 'a,b' -> fusion mode names, each one of MODES."""
+    modes = text.replace(",", " ").split()
+    if not modes or not set(modes) <= set(MODES):
+        raise ConfigError(f"modes must be one or more of {' '.join(MODES)}, got {text!r}")
+    return modes
 
 
 def _parse_value(section, key, raw):

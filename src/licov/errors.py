@@ -3,6 +3,7 @@
 Three branches matching the CLI exit-code contract: configuration and
 usage problems (exit 1), data problems (exit 2), numeric failures (exit 3).
 """
+import math
 from contextlib import contextmanager
 
 
@@ -10,7 +11,7 @@ class LicovError(Exception):
     """Base class for all package-specific errors."""
 
 
-class ConfigError(LicovError):
+class ConfigError(LicovError, ValueError):
     """Bad configuration, unknown keys, invalid argument values."""
 
 
@@ -84,6 +85,15 @@ class EmptyEvaluation(DataError):
 
 class EmptyTrajectory(DataError):
     """Trajectory metric requires at least one frame."""
+
+
+def require(obj, low, *names, strict=False):
+    """Reject the first of obj's `names` that is non-finite or below low
+    (not above it, when strict); None is an unset value and passes."""
+    for name in names:
+        v = getattr(obj, name)
+        if v is not None and not (math.isfinite(v) and (v > low if strict else v >= low)):
+            raise ConfigError(f"{name} must be {'above' if strict else 'at least'} {low}, got {v}")
 
 
 @contextmanager

@@ -23,6 +23,7 @@ from .errors import (
     FrameMismatch,
     NotPositiveDefinite,
     at_line,
+    require,
 )
 from .icp import IcpConfig, icp_point_to_plane
 from .model import predict
@@ -51,6 +52,10 @@ class FusionSetup:
     motion_sigma_xyz: float = 0.05
     motion_sigma_rot_deg: float = 0.2
     init_cov: float = 1e-6
+
+    def __post_init__(self):
+        require(self, 0, "motion_sigma_xyz", "motion_sigma_rot_deg")
+        require(self, 0, "init_cov", strict=True)
 
     def motion_sigmas(self) -> np.ndarray:
         s = np.empty(6)

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import se3
 from .cloud import NeighborIndex, PointCloud
-from .errors import NoCorrespondences
+from .errors import NoCorrespondences, require
 
 # Relative eigenvalue threshold below which the normal matrix counts as
 # rank deficient and the increment falls back to the pseudo-inverse.
@@ -34,11 +34,9 @@ class IcpConfig:
     max_correspondence_distance: float = 2.0
 
     def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        for name in ("translation_eps", "rotation_eps", "max_correspondence_distance"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        require(self, 1, "max_iterations")
+        require(self, 0, "translation_eps", "rotation_eps", "max_correspondence_distance",
+                strict=True)
 
 
 @dataclass(frozen=True)

@@ -26,8 +26,10 @@ from .errors import (
     NoCorrespondences,
     TooFewValidSamples,
     at_line,
+    require,
 )
 from .icp import IcpConfig, icp_point_to_plane
+from .sequences import frame_selection
 
 FORMAT_TAG = "licov-covdataset"
 FORMAT_VERSION = 1
@@ -63,10 +65,7 @@ class PerturbationSpec:
     sigma_psi: float = 5.0
 
     def __post_init__(self):
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if not np.isfinite(v) or v < 0:
-                raise ValueError(f"{f.name} must be finite and non-negative")
+        require(self, 0, *(f.name for f in fields(self)))
 
     def sigmas(self) -> np.ndarray:
         """Sampling scales as a 6-vector (m, m, m, rad, rad, rad)."""
@@ -80,6 +79,20 @@ class PerturbationSpec:
                 np.deg2rad(self.sigma_psi),
             ]
         )
+
+
+@dataclass(frozen=True)
+class MonteCarloSpec:
+    """The `[montecarlo]` settings: samples per frame, their seed and the
+    frames labelled ('all', half-open 'a:b' or 'i,j,k')."""
+
+    n: int = 200
+    seed: int = 0
+    frames: str = "all"
+
+    def __post_init__(self):
+        require(self, 2, "n")
+        frame_selection(self.frames)
 
 
 @dataclass

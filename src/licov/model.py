@@ -18,7 +18,7 @@ from scipy.special import expit
 
 from . import se3
 from .cloud import PointCloud, transform_cloud
-from .errors import DataError, EmptyDataset, NotPositiveDefinite, NumericError
+from .errors import DataError, EmptyDataset, NotPositiveDefinite, NumericError, require
 from .features import FEATURE_DIM, extract_features, feature_spec_hash, with_normals
 from .mcgen import UPPER_I, UPPER_J
 
@@ -213,16 +213,11 @@ class TrainConfig:
     label_floor: float = 0.0
 
     def __post_init__(self):
-        for name in ("alpha", "beta"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
-        for name in ("steps", "batch_size"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if self.huber_delta <= 0:
-            raise ValueError("huber_delta must be positive")
-        if self.label_floor < 0:
-            raise ValueError("label_floor must be non-negative")
+        # learning_rate 0 is allowed: it leaves the initial model in place
+        require(self, 0, "alpha", "beta", "learning_rate", "augment_xy", "augment_yaw_deg",
+                "label_floor")
+        require(self, 0, "huber_delta", "init_sigma", strict=True)
+        require(self, 1, "steps", "batch_size")
 
 
 class RegressionModel:

@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import se3
 from .cloud import PointCloud
-from .errors import ConfigError
+from .errors import ConfigError, require
 from .sequences import Sequence
 
 
@@ -171,6 +172,14 @@ class SyntheticSequence(Sequence):
         return PointCloud(local)
 
 
+def check_settings(settings):
+    """Range rule of the `[sequence]` numbers, read as attributes of
+    settings; an unset (None) one takes the scene's default."""
+    require(settings, 0, "density", "max_range", strict=True)
+    require(settings, 1, "n_frames")
+    require(settings, 0, "noise_sigma")
+
+
 def make_synthetic_scene(
     kind: str,
     density: float | None = None,
@@ -182,13 +191,11 @@ def make_synthetic_scene(
     """Build a deterministic synthetic sequence of one of the known kinds."""
     if kind not in _KINDS:
         raise ConfigError(f"unknown scene kind {kind!r}, expected one of {sorted(_KINDS)}")
+    check_settings(SimpleNamespace(
+        density=density, n_frames=n_frames, noise_sigma=noise_sigma, max_range=max_range))
     rects_fn, path_fn, default_density, default_range, default_frames = _KINDS[kind]
     density = default_density if density is None else float(density)
-    if density <= 0:
-        raise ConfigError("density must be positive")
     n_frames = default_frames if n_frames is None else int(n_frames)
-    if n_frames < 1:
-        raise ConfigError("n_frames must be >= 1")
     max_range = default_range if max_range is None else float(max_range)
     return SyntheticSequence(
         kind, rects_fn(), path_fn(n_frames), density, max_range, noise_sigma, seed

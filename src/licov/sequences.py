@@ -10,7 +10,7 @@ import functools
 import os
 
 from . import cloud, se3
-from .errors import EmptySequence, MissingPose
+from .errors import ConfigError, EmptySequence, MissingPose
 
 
 class _View:
@@ -96,17 +96,27 @@ class InMemorySequence(Sequence):
         return self._poses[k]
 
 
+def frame_selection(expr):
+    """'all' (or empty), 'a:b' or 'i,j,k' -> slice(a or 0, b or None) or
+    [i, j, k]; any other text is a ConfigError naming `frames`."""
+    expr = str(expr).strip()
+    try:
+        if expr in ("", "all"):
+            return slice(0, None)
+        if ":" in expr:
+            lo, hi = expr.split(":", 1)
+            return slice(int(lo) if lo else 0, int(hi) if hi else None)
+        return [int(x) for x in expr.split(",")]
+    except ValueError:
+        raise ConfigError(f"frames must be 'all', 'a:b' or 'i,j,k', got {expr!r}") from None
+
+
 def parse_frames(expr, length) -> list:
     """Frame selection: 'a:b' (half-open, clamped), 'all', or 'i,j,k'."""
-    expr = str(expr).strip()
-    if expr in ("", "all"):
-        return list(range(length))
-    if ":" in expr:
-        lo_s, hi_s = expr.split(":", 1)
-        lo = int(lo_s) if lo_s else 0
-        hi = int(hi_s) if hi_s else length
-        return list(range(max(0, lo), min(length, hi)))
-    frames = [int(x) for x in expr.split(",")]
+    frames = frame_selection(expr)
+    if isinstance(frames, slice):
+        hi = length if frames.stop is None else min(length, frames.stop)
+        return list(range(max(0, frames.start), hi))
     for f in frames:
         if not 0 <= f < length:
             raise ValueError(f"frame {f} outside sequence of length {length}")

@@ -66,6 +66,17 @@ def spy_map_builds(monkeypatch):
     return maps, indexed
 
 
+def assert_named_before_reading_data(capsys, command, key, value):
+    """key=value exits 1 with one line naming it; every input is missing,
+    so reading any of them first would exit 2."""
+    missing = ["--set", "sequence.kind=kitti", "--set", "sequence.scan_dir=/nonexistent",
+               "--set", "sequence.pose_file=/nonexistent.txt",
+               "--set", "paths.dataset=/nonexistent.csv", "--set", "paths.model=/nonexistent.txt"]
+    assert cli.main([command, *missing, "--set", f"{key}={value}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} ") and err.count("\n") == 1
+
+
 @pytest.fixture(scope="module")
 def ws(tmp_path_factory):
     """Run the generate/train/eval/fuse chain once in a scratch directory."""
@@ -136,13 +147,25 @@ class TestUsageErrors:
         ("scan_voxel", "-0.1"), ("scan_voxel", "inf"),
     ])
     def test_bad_map_setting_named_before_reading_data(self, capsys, command, key, value):
-        # every input is missing, so reading any of them would exit 2
-        missing = ["--set", "sequence.kind=kitti", "--set", "sequence.scan_dir=/nonexistent",
-                   "--set", "sequence.pose_file=/nonexistent.txt",
-                   "--set", "paths.dataset=/nonexistent.csv", "--set", "paths.model=/nonexistent.txt"]
-        assert cli.main([command, *missing, "--set", f"map.{key}={value}"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: map.{key} ") and err.count("\n") == 1
+        assert_named_before_reading_data(capsys, command, f"map.{key}", value)
+
+    # one table with the map rows above: every section, checked at load
+    # whether or not the command uses it
+    @pytest.mark.parametrize("command", ["generate", "train", "eval", "fuse"])
+    @pytest.mark.parametrize("key,value", [
+        ("fusion.init_cov", "-1"), ("fusion.init_cov", "nan"),
+        ("fusion.motion_sigma_xyz", "-1"), ("fusion.motion_sigma_rot_deg", "nan"),
+        ("fusion.modes", "bogus"), ("fusion.frames", "x"),
+        ("montecarlo.n", "1"), ("montecarlo.frames", "x"),
+        ("icp.translation_eps", "nan"), ("icp.max_correspondence_distance", "nan"),
+        ("train.learning_rate", "-1"), ("train.init_sigma", "0"), ("train.alpha", "nan"),
+        ("train.label_floor", "nan"),
+        ("perturbation.sigma_x", "inf"),
+        ("sequence.noise_sigma", "-1"), ("sequence.max_range", "-1"),
+        ("sequence.density", "0"), ("sequence.n_frames", "0"),
+    ])
+    def test_bad_setting_named_before_reading_data(self, capsys, command, key, value):
+        assert_named_before_reading_data(capsys, command, key, value)
 
     def test_synth_requires_synthetic(self):
         assert cli.main(["synth", "--set", "sequence.kind=kitti"]) == 1
