@@ -10,6 +10,8 @@ actually supports it.
 
 Run: python3 demos/05_fusion_comparison.py  (about 2 minutes)
 """
+from dataclasses import replace
+
 import numpy as np
 
 from licov.cloud import MapSetup
@@ -48,8 +50,8 @@ print("\nseed   icp_only   fixed_cov  predicted_cov   (ADE, m)")
 means = {m: [] for m in ("icp_only", "fixed_cov", "predicted_cov")}
 for seed in (100, 101, 102):
     row = []
-    trajs = run_fusion(corridor, frames, tuple(means), setup, model=model,
-                       fixed_cov=fixed, seed=seed)
+    trajs = run_fusion(corridor, frames, replace(setup, seed=seed), model=model,
+                       fixed_cov=fixed)
     for mode in means:
         err = ade(trajs[mode], truth)
         means[mode].append(err)

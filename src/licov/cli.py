@@ -62,9 +62,9 @@ def _load(args) -> RunConfig:
 
 def cmd_generate(cfg: RunConfig, threads: int) -> int:
     mc = cfg.montecarlo
-    seq = cfg.sequence()
-    frames = parse_frames(mc.frames, len(seq))
-    out = cfg.get("paths", "dataset")
+    seq = cfg.sequence.open()
+    frames = parse_frames(mc.frames, len(seq), "montecarlo.frames")
+    out = cfg.paths.dataset
 
     def progress(frame, record):
         if record is None:
@@ -93,8 +93,8 @@ def cmd_generate(cfg: RunConfig, threads: int) -> int:
 
 
 def _dataset_samples(cfg: RunConfig):
-    seq = cfg.sequence()
-    _, records = mcgen.read_dataset(cfg.get("paths", "dataset"))
+    seq = cfg.sequence.open()
+    _, records = mcgen.read_dataset(cfg.paths.dataset)
     samples = []
     for rec in records:
         if not 0 <= rec.frame_id < len(seq):
@@ -114,7 +114,7 @@ def cmd_train(cfg: RunConfig, threads: int) -> int:
     trained, losses = model_mod.train(
         samples, tc, normal_k=cfg.map.normal_k, progress=progress
     )
-    out = cfg.get("paths", "model")
+    out = cfg.paths.model
     model_mod.save_model(out, trained, tc, extra=cfg.echo())
     trace = os.path.splitext(out)[0] + ".loss"
     with open(trace, "w") as f:
@@ -127,11 +127,11 @@ def cmd_train(cfg: RunConfig, threads: int) -> int:
 
 def cmd_eval(cfg: RunConfig, threads: int) -> int:
     records, samples = _dataset_samples(cfg)
-    trained, _ = model_mod.load_model(cfg.get("paths", "model"))
+    trained, _ = model_mod.load_model(cfg.paths.model)
     predictions = [model_mod.predict(trained, scan, cfg.map.normal_k) for _, scan in samples]
     labels = [rec.covariance for rec in records]
     report = metrics.evaluate(predictions, labels)
-    out = cfg.get("paths", "report")
+    out = cfg.paths.report
     with open(out, "w") as f:
         for k, v in cfg.echo().items():
             f.write(f"# {k}={v}\n")
@@ -142,25 +142,23 @@ def cmd_eval(cfg: RunConfig, threads: int) -> int:
 
 
 def cmd_fuse(cfg: RunConfig, threads: int) -> int:
-    modes = cfg.fusion_modes
-    seq = cfg.sequence()
-    frames = parse_frames(cfg.get("fusion", "frames"), len(seq))
-    seed = cfg.get("fusion", "seed")
-    out_dir = cfg.get("paths", "out_dir")
+    modes = cfg.fusion.mode_names
+    seq = cfg.sequence.open()
+    frames = parse_frames(cfg.fusion.frames, len(seq), "fusion.frames")
+    out_dir = cfg.paths.out_dir
     os.makedirs(out_dir, exist_ok=True)
 
     fixed = None
     if "fixed_cov" in modes:
-        _, records = mcgen.read_dataset(cfg.get("paths", "dataset"))
+        _, records = mcgen.read_dataset(cfg.paths.dataset)
         fixed = mcgen.average_covariance(records)
     trained = None
     if "predicted_cov" in modes:
-        trained, _ = model_mod.load_model(cfg.get("paths", "model"))
+        trained, _ = model_mod.load_model(cfg.paths.model)
 
     truth = fusion_mod.Trajectory(list(frames), [seq.pose(k) for k in frames])
     trajs = fusion_mod.run_fusion(
-        seq, frames, modes, cfg.fusion, model=trained, fixed_cov=fixed,
-        seed=seed, workers=threads,
+        seq, frames, cfg.fusion, model=trained, fixed_cov=fixed, workers=threads
     )
     rows = []
     for mode in modes:
@@ -184,10 +182,10 @@ def cmd_fuse(cfg: RunConfig, threads: int) -> int:
 
 
 def cmd_synth(cfg: RunConfig, threads: int) -> int:
-    if cfg.get("sequence", "kind") != "synthetic":
+    if cfg.sequence.kind != "synthetic":
         raise ConfigError("synth requires sequence.kind = synthetic")
-    seq = cfg.sequence()
-    out_dir = cfg.get("paths", "out_dir")
+    seq = cfg.sequence.open()
+    out_dir = cfg.paths.out_dir
     scan_dir = os.path.join(out_dir, "scans")
     os.makedirs(scan_dir, exist_ok=True)
     poses = []

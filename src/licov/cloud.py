@@ -114,30 +114,35 @@ def save_kitti_scan(path, cloud: PointCloud, reflectance=0.0):
         f.write(data.tobytes())
 
 
+def format_pose(pose) -> str:
+    """The 12 row-major values of pose's top 3x4 [R|t], at full precision."""
+    m = np.hstack([pose.R, pose.t.reshape(3, 1)])
+    return " ".join(f"{v:.17g}" for v in m.reshape(-1))
+
+
+def parse_pose(values, path, lineno) -> se3.SE3:
+    """The pose of format_pose's 12 values, as strings; a wrong count, a
+    non-number or a matrix that is no rigid transform is a DataError at
+    path:lineno."""
+    with at_line(path, lineno):
+        m = np.array([float(x) for x in values])
+        if len(m) != 12:
+            raise MalformedScan(f"{path}:{lineno}: expected 12 values, got {len(m)}")
+        m = m.reshape(3, 4)
+        return se3.SE3(m[:, :3], m[:, 3])
+
+
 def load_kitti_poses(path) -> list:
     """Read one pose per line: 12 row-major values of the top 3x4."""
-    poses = []
     with open(path, "r") as f:
-        for lineno, line in enumerate(f):
-            line = line.strip()
-            if not line:
-                continue
-            with at_line(path, lineno + 1):
-                vals = [float(x) for x in line.split()]
-            if len(vals) != 12:
-                raise MalformedScan(
-                    f"{path}:{lineno + 1}: expected 12 values, got {len(vals)}"
-                )
-            m = np.array(vals).reshape(3, 4)
-            poses.append(se3.SE3(m[:, :3], m[:, 3]))
-    return poses
+        return [parse_pose(line.split(), path, lineno)
+                for lineno, line in enumerate(f, start=1) if line.strip()]
 
 
 def save_kitti_poses(path, poses):
     with open(path, "w") as f:
         for p in poses:
-            m = np.hstack([p.R, p.t.reshape(3, 1)])
-            f.write(" ".join(f"{v:.17g}" for v in m.reshape(-1)) + "\n")
+            f.write(format_pose(p) + "\n")
 
 
 def voxel_downsample(cloud: PointCloud, voxel_size: float) -> PointCloud:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import se3
-from .cloud import MapSetup
+from .cloud import MapSetup, format_pose, parse_pose
 from .errors import (
     ConfigError,
     DataError,
@@ -27,6 +27,7 @@ from .errors import (
 )
 from .icp import IcpConfig, icp_point_to_plane
 from .model import predict
+from .sequences import frame_selection
 
 MODES = ("icp_only", "fixed_cov", "predicted_cov")
 
@@ -47,15 +48,31 @@ class MotionInput:
 
 @dataclass(frozen=True)
 class FusionSetup:
+    """The `[fusion]` settings, with the `[map]` and `[icp]` ones each frame
+    is prepared and aligned by. `modes` lists fusion modes separated by
+    spaces or commas, `seed` seeds the odometry noise, and `frames` is the
+    selection ('all', 'a:b' or 'i,j,k') the `fuse` command tracks."""
+
     map: MapSetup = MapSetup()
     icp: IcpConfig = IcpConfig()
     motion_sigma_xyz: float = 0.05
     motion_sigma_rot_deg: float = 0.2
     init_cov: float = 1e-6
+    frames: str = "all"
+    seed: int = 0
+    modes: str = " ".join(MODES)
 
     def __post_init__(self):
-        require(self, 0, "motion_sigma_xyz", "motion_sigma_rot_deg")
+        require(self, 0, "motion_sigma_xyz", "motion_sigma_rot_deg", "seed")
         require(self, 0, "init_cov", strict=True)
+        frame_selection(self.frames)
+        if not self.mode_names or not set(self.mode_names) <= set(MODES):
+            raise ConfigError(f"modes must be one or more of {' '.join(MODES)}, got {self.modes!r}")
+
+    @property
+    def mode_names(self) -> tuple:
+        """modes, split at spaces and commas."""
+        return tuple(self.modes.replace(",", " ").split())
 
     def motion_sigmas(self) -> np.ndarray:
         s = np.empty(6)
@@ -119,9 +136,7 @@ def write_trajectory(path, trajectory: Trajectory, header=None):
         for k, v in (header or {}).items():
             f.write(f"# {k}={v}\n")
         for fid, pose in zip(trajectory.frame_ids, trajectory.poses):
-            m = np.hstack([pose.R, pose.t.reshape(3, 1)])
-            vals = " ".join(f"{x:.17g}" for x in m.reshape(-1))
-            f.write(f"{fid} {vals}\n")
+            f.write(f"{fid} {format_pose(pose)}\n")
 
 
 def read_trajectory(path) -> Trajectory:
@@ -135,38 +150,32 @@ def read_trajectory(path) -> Trajectory:
             if len(parts) != 13:
                 raise DataError(f"{path}:{lineno}: expected 13 fields, got {len(parts)}")
             with at_line(path, lineno):
-                m = np.array([float(x) for x in parts[1:]]).reshape(3, 4)
                 frame_ids.append(int(parts[0]))
-                poses.append(se3.SE3(m[:, :3], m[:, 3]))
+            poses.append(parse_pose(parts[1:], path, lineno))
     return Trajectory(frame_ids, poses)
 
 
 def run_fusion(
     sequence,
     frames,
-    modes,
     setup: FusionSetup = FusionSetup(),
     model=None,
     fixed_cov=None,
-    seed: int = 0,
     workers: int = 1,
     align=None,
 ) -> dict:
-    """Track the sequence in each of `modes` -> {mode: Trajectory}.
+    """Track the sequence in each of setup's modes -> {mode: Trajectory}.
 
     Odometry is the ground-truth delta plus Gaussian twist noise; ICP
     against the local map gives the pose measurements. Every filter starts
     at the true first-frame pose. Per-frame odometry noise comes from the
-    (seed, frame) substream, so runs are repeatable and every mode sees the
-    same noise realization. Each frame's scan and map index are prepared
-    once and shared by all modes. `align` may replace the ICP call (source,
-    index, initial, cfg -> object with .estimate); it is called once per
-    frame and mode.
+    (setup.seed, frame) substream, so runs are repeatable and every mode
+    sees the same noise realization. Each frame's scan and map index are
+    prepared once and shared by all modes. `align` may replace the ICP call
+    (source, index, initial, cfg -> object with .estimate); it is called
+    once per frame and mode.
     """
-    modes = tuple(dict.fromkeys(modes))
-    for mode in modes:
-        if mode not in MODES:
-            raise ConfigError(f"unknown fusion mode {mode!r}")
+    modes = tuple(dict.fromkeys(setup.mode_names))
     if "predicted_cov" in modes and model is None:
         raise ConfigError("predicted_cov mode requires a trained model")
     if "fixed_cov" in modes and fixed_cov is None:
@@ -186,7 +195,7 @@ def run_fusion(
     for k in frames[1:]:
         truth = sequence.pose(k)
         delta_true = se3.inverse(prev_truth) @ truth
-        rng = np.random.default_rng(np.random.SeedSequence((seed, k)))
+        rng = np.random.default_rng(np.random.SeedSequence((setup.seed, k)))
         eta = rng.normal(0.0, 1.0, 6) * sig
         motion = MotionInput(delta_true @ se3.exp(eta), Q)
 

@@ -92,6 +92,7 @@ class MonteCarloSpec:
 
     def __post_init__(self):
         require(self, 2, "n")
+        require(self, 0, "seed")
         frame_selection(self.frames)
 
 

@@ -114,17 +114,18 @@ def _factor(mats, what, regularize: bool = False):
     return L, np.stack([dpotrs(l, _EYE, lower=1)[0] for l in L])
 
 
-def _kl_half(y_hat, y_bar, ref=None, regularize: bool = True):
+def _kl_half(y_hat, y_bar, ref=None):
     """KL of N(0, y_hat) from N(0, y_bar), 0.5 * (tr(y_bar^-1 y_hat) - 6 +
     ln det y_bar - ln det y_hat), per item of (B,6,6) stacks, and its y_hat
-    gradient 0.5 * (y_bar^-1 - y_hat^-1); `ref` is y_bar's _factor if known."""
+    gradient 0.5 * (y_bar^-1 - y_hat^-1); y_bar is regularized, and `ref`
+    is its _factor if known."""
     try:
-        L_bar, inv_bar = ref or _factor(y_bar, "KL reference covariance", regularize)
+        L_bar, inv_bar = ref or _factor(y_bar, "KL reference covariance", regularize=True)
         L_hat, inv_hat = _factor(y_hat, "KL predicted covariance")
     except (NumericError, np.linalg.LinAlgError):
         if len(y_hat) > 1:  # raise what the lowest bad item raises alone
             for b in range(len(y_hat)):
-                _kl_half(y_hat[b:b + 1], y_bar[b:b + 1], regularize=regularize)
+                _kl_half(y_hat[b:b + 1], y_bar[b:b + 1])
         raise
     # tr(y_bar^-1 y_hat) = || L_bar^-1 L_hat ||_F^2 by the trtrs call of
     # solve_triangular, each item summed in that call's memory order
@@ -151,10 +152,11 @@ def _stack(mats) -> np.ndarray:
     return np.asarray(mats, dtype=float).reshape(-1, 6, 6)
 
 
-def loss_kl(y_hat, y_bar, regularize: bool = True):
+def loss_kl(y_hat, y_bar):
     """KL divergence of N(0, y_hat) from N(0, y_bar), the KL half of the
-    head kernel: a (6,6) pair gives a float, (B,6,6) stacks a (B,) array."""
-    kl = _kl_half(_stack(y_hat), _stack(y_bar), regularize=regularize)[0]
+    head kernel: a (6,6) pair gives a float, (B,6,6) stacks a (B,) array.
+    y_bar goes through regularize_label first."""
+    kl = _kl_half(_stack(y_hat), _stack(y_bar))[0]
     return float(kl[0]) if np.ndim(y_hat) == 2 else kl
 
 
@@ -215,7 +217,7 @@ class TrainConfig:
     def __post_init__(self):
         # learning_rate 0 is allowed: it leaves the initial model in place
         require(self, 0, "alpha", "beta", "learning_rate", "augment_xy", "augment_yaw_deg",
-                "label_floor")
+                "label_floor", "seed")
         require(self, 0, "huber_delta", "init_sigma", strict=True)
         require(self, 1, "steps", "batch_size")
 

@@ -18,14 +18,13 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
 from . import se3
 from .cloud import PointCloud
 from .errors import ConfigError, require
-from .sequences import Sequence
+from .sequences import KittiSequence, Sequence
 
 
 @dataclass(frozen=True)
@@ -172,12 +171,46 @@ class SyntheticSequence(Sequence):
         return PointCloud(local)
 
 
-def check_settings(settings):
-    """Range rule of the `[sequence]` numbers, read as attributes of
-    settings; an unset (None) one takes the scene's default."""
-    require(settings, 0, "density", "max_range", strict=True)
-    require(settings, 1, "n_frames")
-    require(settings, 0, "noise_sigma")
+@dataclass(frozen=True)
+class SequenceSpec:
+    """The `[sequence]` settings: a synthetic `scene`, or KITTI-layout scans
+    and poses when `kind` is kitti. An unset (None) number takes the
+    scene's default."""
+
+    kind: str = "synthetic"
+    scene: str = "corridor"
+    density: float | None = None
+    n_frames: int | None = None
+    noise_sigma: float = 0.01
+    max_range: float | None = None
+    seed: int = 0
+    scan_dir: str = ""
+    pose_file: str = ""
+
+    def __post_init__(self):
+        if self.kind not in ("synthetic", "kitti"):
+            raise ConfigError(f"kind must be synthetic or kitti, got {self.kind!r}")
+        if self.scene not in _KINDS:
+            raise ConfigError(f"scene must be one of {' | '.join(_KINDS)}, got {self.scene!r}")
+        require(self, 0, "density", "max_range", strict=True)
+        require(self, 1, "n_frames")
+        require(self, 0, "noise_sigma", "seed")
+        for name in ("scan_dir", "pose_file"):
+            if self.kind == "kitti" and not getattr(self, name):
+                raise ConfigError(f"{name} must be set for a kitti sequence")
+
+    def open(self) -> Sequence:
+        """The sequence these settings describe."""
+        if self.kind == "kitti":
+            return KittiSequence(self.scan_dir, self.pose_file)
+        rects_fn, path_fn, density, max_range, n_frames = _KINDS[self.scene]
+        n_frames = n_frames if self.n_frames is None else int(self.n_frames)
+        return SyntheticSequence(
+            self.scene, rects_fn(), path_fn(n_frames),
+            density if self.density is None else self.density,
+            max_range if self.max_range is None else self.max_range,
+            self.noise_sigma, self.seed,
+        )
 
 
 def make_synthetic_scene(
@@ -189,14 +222,5 @@ def make_synthetic_scene(
     max_range: float | None = None,
 ) -> SyntheticSequence:
     """Build a deterministic synthetic sequence of one of the known kinds."""
-    if kind not in _KINDS:
-        raise ConfigError(f"unknown scene kind {kind!r}, expected one of {sorted(_KINDS)}")
-    check_settings(SimpleNamespace(
-        density=density, n_frames=n_frames, noise_sigma=noise_sigma, max_range=max_range))
-    rects_fn, path_fn, default_density, default_range, default_frames = _KINDS[kind]
-    density = default_density if density is None else float(density)
-    n_frames = default_frames if n_frames is None else int(n_frames)
-    max_range = default_range if max_range is None else float(max_range)
-    return SyntheticSequence(
-        kind, rects_fn(), path_fn(n_frames), density, max_range, noise_sigma, seed
-    )
+    return SequenceSpec(scene=kind, density=density, n_frames=n_frames,
+                        noise_sigma=noise_sigma, max_range=max_range, seed=seed).open()

@@ -96,9 +96,9 @@ class InMemorySequence(Sequence):
         return self._poses[k]
 
 
-def frame_selection(expr):
+def frame_selection(expr, key="frames"):
     """'all' (or empty), 'a:b' or 'i,j,k' -> slice(a or 0, b or None) or
-    [i, j, k]; any other text is a ConfigError naming `frames`."""
+    [i, j, k]; any other text is a ConfigError naming `key`."""
     expr = str(expr).strip()
     try:
         if expr in ("", "all"):
@@ -108,16 +108,20 @@ def frame_selection(expr):
             return slice(int(lo) if lo else 0, int(hi) if hi else None)
         return [int(x) for x in expr.split(",")]
     except ValueError:
-        raise ConfigError(f"frames must be 'all', 'a:b' or 'i,j,k', got {expr!r}") from None
+        raise ConfigError(f"{key} must be 'all', 'a:b' or 'i,j,k', got {expr!r}") from None
 
 
-def parse_frames(expr, length) -> list:
-    """Frame selection: 'a:b' (half-open, clamped), 'all', or 'i,j,k'."""
-    frames = frame_selection(expr)
+def parse_frames(expr, length, key="frames") -> list:
+    """Frame selection: 'a:b' (half-open, clamped), 'all', or 'i,j,k'. One
+    that selects no frame, or lists one outside the sequence, is a
+    ConfigError naming `key`."""
+    frames = frame_selection(expr, key)
     if isinstance(frames, slice):
         hi = length if frames.stop is None else min(length, frames.stop)
-        return list(range(max(0, frames.start), hi))
+        frames = list(range(max(0, frames.start), hi))
     for f in frames:
         if not 0 <= f < length:
-            raise ValueError(f"frame {f} outside sequence of length {length}")
+            raise ConfigError(f"{key} lists frame {f}, outside a sequence of length {length}")
+    if not frames:
+        raise ConfigError(f"{key} {expr!r} selects no frame of a sequence of length {length}")
     return frames

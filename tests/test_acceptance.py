@@ -12,6 +12,7 @@ import math
 import os
 import shutil
 import time
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -195,7 +196,7 @@ def test_acceptance_05_analytic_gradients_and_kl_value():
                         raw)
         worst = max(worst, float(np.max(rel_err(grad, fd))))
 
-    closed = loss_kl(2.0 * np.eye(6), np.eye(6), regularize=False)
+    closed = loss_kl(2.0 * np.eye(6), np.eye(6))
     kl_err = abs(closed - 3.0 * (2.0 - 1.0 - math.log(2.0)))
     ok = worst < 1e-4 and kl_err <= 1e-9
     _report(5, ok, f"max gradient deviation {worst:.1e} over 20 instances, "
@@ -249,8 +250,8 @@ def test_acceptance_07_fusion_mode_ordering(tmp_path):
     modes = ("icp_only", "fixed_cov", "predicted_cov")
     ades = {m: [] for m in modes}
     for s in range(20):
-        trajs = run_fusion(cor, frames, modes, setup, model=model,
-                           fixed_cov=fixed, seed=100 + s)
+        trajs = run_fusion(cor, frames, replace(setup, seed=100 + s), model=model,
+                           fixed_cov=fixed)
         for mode in modes:
             ades[mode].append(ade(trajs[mode], truth))
     wins_pf = sum(p < f for p, f in zip(ades["predicted_cov"], ades["fixed_cov"]))

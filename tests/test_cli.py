@@ -163,17 +163,36 @@ class TestUsageErrors:
         ("perturbation.sigma_x", "inf"),
         ("sequence.noise_sigma", "-1"), ("sequence.max_range", "-1"),
         ("sequence.density", "0"), ("sequence.n_frames", "0"),
+        ("sequence.seed", "-1"), ("montecarlo.seed", "-1"), ("train.seed", "-1"),
+        ("fusion.seed", "-1"), ("sequence.kind", "bogus"), ("sequence.scene", "bogus"),
     ])
     def test_bad_setting_named_before_reading_data(self, capsys, command, key, value):
         assert_named_before_reading_data(capsys, command, key, value)
+
+    # the room of COMMON has 4 frames; the dataset and model are missing, so
+    # fuse would exit 2 had it read them first
+    @pytest.mark.parametrize("command,key,value", [
+        ("generate", "montecarlo.frames", "3:1"), ("generate", "montecarlo.frames", "7"),
+        ("generate", "montecarlo.frames", "4:"), ("fuse", "fusion.frames", "3:1"),
+        ("fuse", "fusion.frames", "0,4"), ("fuse", "fusion.frames", "-1,2"),
+    ])
+    def test_frames_outside_the_sequence_named(self, tmp_path, capsys, command, key, value):
+        assert cli.main([command, *COMMON, "--set", f"{key}={value}",
+                         "--set", f"paths.out_dir={tmp_path}",
+                         "--set", f"paths.dataset={tmp_path / 'ds.csv'}",
+                         "--set", "paths.model=/nonexistent.txt"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_synth_requires_synthetic(self):
         assert cli.main(["synth", "--set", "sequence.kind=kitti"]) == 1
 
 
 class TestDataErrors:
-    def test_missing_dataset(self):
-        assert cli.main(["train", *COMMON, "--set", "paths.dataset=/nonexistent.csv"]) == 2
+    def test_missing_dataset(self, tmp_path):
+        missing = tmp_path / "missing.csv"
+        assert cli.main(["train", *COMMON, "--set", f"paths.dataset={missing}"]) == 2
 
     def test_missing_model(self, tmp_path):
         ds = tmp_path / "ds.csv"
@@ -205,13 +224,13 @@ class TestDataErrors:
         assert err.startswith(f"data error: {path}:{line}: ")
         assert err.count("\n") == 1
 
-    def _bad_poses(self, tmp, ws, _):
+    def _bad_poses(self, tmp, ws, first):
         out = tmp / "kitti"
         assert cli.main(["synth", "--set", "sequence.scene=plane", "--set", "sequence.density=1",
                          "--set", "sequence.n_frames=2", "--set", f"paths.out_dir={out}"]) == 0
         poses = out / "poses.txt"
         lines = poses.read_text().splitlines()
-        lines[1] = "abc " + lines[1].split(" ", 1)[1]
+        lines[1] = f"{first} " + lines[1].split(" ", 1)[1]
         poses.write_text("\n".join(lines) + "\n")
         argv = ["generate", "--set", "sequence.kind=kitti",
                 "--set", f"sequence.scan_dir={out / 'scans'}",
@@ -248,7 +267,8 @@ class TestDataErrors:
 
     # one corrupted input per reader: exit 2, one line naming the file
     @pytest.mark.parametrize("corrupt, arg", [
-        ("_bad_poses", None),
+        ("_bad_poses", "abc"),
+        ("_bad_poses", "2"),
         ("_cut_model", 2),
         ("_cut_model", 6),
         ("_non_finite_label", "nan"),
@@ -259,7 +279,8 @@ class TestDataErrors:
         ("_edit_model", ("w2", " ".join(["0"] * 99 + ["-inf"] + ["0"] * 1244))),
         ("_edit_model", ("feat_scale", " ".join(["1"] * 31 + ["0"]))),
         ("_edit_model", ("feat_scale", " ".join(["-2"] + ["1"] * 31))),
-    ], ids=["pose_non_numeric", "model_cut_after_line_2", "model_cut_after_line_6",
+    ], ids=["pose_non_numeric", "pose_not_a_rotation",
+            "model_cut_after_line_2", "model_cut_after_line_6",
             "dataset_nan_covariance", "dataset_inf_covariance",
             "model_non_numeric_weight", "model_wrong_length_vector",
             "model_nan_weight", "model_inf_weight", "model_zero_feat_scale",
@@ -403,14 +424,14 @@ class TestGenerate:
         assert sorted(map(id, indexed)) == sorted(id(m) for _, m in maps)
 
     def test_empty_frame_range(self, ws, monkeypatch, capsys):
+        # a dataset of no records is one read_dataset refuses: none is written
         monkeypatch.chdir(ws["root"])
         rc = cli.main(["generate", *COMMON, *GENERATE,
                        "--set", "montecarlo.frames=0:0",
                        "--set", "paths.dataset=none.csv"])
-        assert rc == 0
-        assert "wrote 0 records" in capsys.readouterr().out
-        with pytest.raises(Exception):
-            read_dataset(ws["root"] / "none.csv")
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: montecarlo.frames ")
+        assert not (ws["root"] / "none.csv").exists()
 
 
 class TestTrainEval:

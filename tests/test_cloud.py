@@ -1,6 +1,7 @@
 """Point-cloud I/O, voxel filtering, normals, neighbor search, local maps."""
 
 import gc
+import re
 import struct
 import weakref
 
@@ -22,6 +23,8 @@ from licov.cloud import (
     voxel_downsample,
 )
 from licov.errors import (
+    ConfigError,
+    DataError,
     EmptyCloud,
     EmptyIndex,
     EmptySequence,
@@ -89,6 +92,17 @@ class TestPoseIO:
         path = tmp_path / "poses.txt"
         path.write_text("\n1 0 0 0 0 1 0 0 0 0 1 0\n\n")
         assert len(load_kitti_poses(path)) == 1
+
+    @pytest.mark.parametrize("text", [
+        "2 0 0 0 0 1 0 0 0 0 1 0",
+        "-1 0 0 0 0 1 0 0 0 0 1 0",
+        "1 0 0 0 0 1 0 0 0 0 1 nan",
+    ], ids=["not_orthonormal", "reflection", "non_finite"])
+    def test_bad_transform_is_a_data_error_at_its_line(self, tmp_path, text):
+        path = tmp_path / "poses.txt"
+        path.write_text("1 0 0 0 0 1 0 0 0 0 1 0\n\n" + text + "\n")
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}:3: "):
+            load_kitti_poses(path)
 
 
 def reference_voxel_downsample(pts, voxel_size):
@@ -444,6 +458,11 @@ class TestSequences:
         assert parse_frames("0,2,5", 6) == [0, 2, 5]
         with pytest.raises(ValueError):
             parse_frames("0,9", 6)
+
+    @pytest.mark.parametrize("expr", ["3:1", "0:0", "8:", "0,8", "-1", "x"])
+    def test_parse_frames_rejects_naming_the_key(self, expr):
+        with pytest.raises(ConfigError, match="^fusion.frames "):
+            parse_frames(expr, 8, "fusion.frames")
 
 
 class TestPointCloudValidation:

@@ -1,5 +1,6 @@
 """Tangent-space EKF steps, fusion modes, and trajectory metrics."""
 import re
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -237,14 +238,16 @@ class TestTrajectoryIO:
 
 class TestRunFusion:
     def test_mode_validation(self, small_room):
+        for modes in ("kalman", "", "icp_only,kalman"):
+            with pytest.raises(ConfigError, match="^modes "):
+                FusionSetup(modes=modes)
+        assert FusionSetup(modes="fixed_cov,icp_only").mode_names == ("fixed_cov", "icp_only")
         with pytest.raises(ConfigError):
-            run_fusion(small_room, [0, 1], ("kalman",))
+            run_fusion(small_room, [0, 1], FusionSetup(modes="icp_only predicted_cov"))
         with pytest.raises(ConfigError):
-            run_fusion(small_room, [0, 1], ("icp_only", "predicted_cov"))
-        with pytest.raises(ConfigError):
-            run_fusion(small_room, [0, 1], ("fixed_cov",))
+            run_fusion(small_room, [0, 1], FusionSetup(modes="fixed_cov"))
         with pytest.raises(EmptyTrajectory):
-            run_fusion(small_room, [], ("icp_only",))
+            run_fusion(small_room, [], FusionSetup(modes="icp_only"))
 
     def test_zero_noise_perfect_measurements(self, small_room):
         # with exact odometry the prediction already sits on the truth, so
@@ -261,23 +264,24 @@ class TestRunFusion:
             ("fixed_cov", {"fixed_cov": 1e-4 * np.eye(6)}),
             ("predicted_cov", {"model": constant_model(1e-4 * np.eye(6))}),
         ]:
-            traj = run_fusion(small_room, frames, (mode,), setup, align=passthrough, **kw)[mode]
+            traj = run_fusion(small_room, frames, replace(setup, modes=mode),
+                              align=passthrough, **kw)[mode]
             assert traj.frame_ids == frames
             assert ade(traj, truth) < 1e-9
 
     def test_constant_model_matches_fixed_cov(self, small_room):
         frames = list(range(5))
-        setup = FusionSetup(map=MapSetup(1, 1, map_voxel=0.4, scan_voxel=0.3))
+        setup = FusionSetup(map=MapSetup(1, 1, map_voxel=0.4, scan_voxel=0.3), seed=3)
         rng = np.random.default_rng(5)
         a = rng.normal(size=(6, 6)) * 0.1
         avg = a @ a.T * 1e-2 + 1e-3 * np.eye(6)
         fixed = run_fusion(
-            small_room, frames, ("fixed_cov",), setup, fixed_cov=avg, seed=3,
+            small_room, frames, replace(setup, modes="fixed_cov"), fixed_cov=avg,
             align=truth_oracle(small_room, frames),
         )["fixed_cov"]
         pred = run_fusion(
-            small_room, frames, ("predicted_cov",), setup, model=constant_model(avg),
-            seed=3, align=truth_oracle(small_room, frames),
+            small_room, frames, replace(setup, modes="predicted_cov"),
+            model=constant_model(avg), align=truth_oracle(small_room, frames),
         )["predicted_cov"]
         assert fixed.frame_ids == pred.frame_ids
         assert np.allclose(
@@ -288,15 +292,16 @@ class TestRunFusion:
         # accurate measurements with a tight R pull the filter onto the
         # truth; a loose R leaves it on the drifting odometry
         frames = list(range(5))
-        setup = FusionSetup(map=MapSetup(1, 1, map_voxel=0.4, scan_voxel=0.3))
+        setup = FusionSetup(map=MapSetup(1, 1, map_voxel=0.4, scan_voxel=0.3), seed=3,
+                            modes="fixed_cov")
         truth = truth_trajectory(small_room, frames)
         tight = run_fusion(
-            small_room, frames, ("fixed_cov",), setup, fixed_cov=1e-8 * np.eye(6),
-            seed=3, align=truth_oracle(small_room, frames),
+            small_room, frames, setup, fixed_cov=1e-8 * np.eye(6),
+            align=truth_oracle(small_room, frames),
         )["fixed_cov"]
         loose = run_fusion(
-            small_room, frames, ("fixed_cov",), setup, fixed_cov=1e2 * np.eye(6),
-            seed=3, align=truth_oracle(small_room, frames),
+            small_room, frames, setup, fixed_cov=1e2 * np.eye(6),
+            align=truth_oracle(small_room, frames),
         )["fixed_cov"]
         assert ade(tight, truth) < 1e-4
         assert ade(loose, truth) > 1e-2
@@ -304,11 +309,11 @@ class TestRunFusion:
 
     def test_seeded_odometry_noise_repeats(self, small_room):
         frames = list(range(4))
-        setup = FusionSetup(map=MapSetup(1, 1, map_voxel=0.4, scan_voxel=0.3))
+        setup = FusionSetup(map=MapSetup(1, 1, map_voxel=0.4, scan_voxel=0.3), modes="icp_only")
         passthrough = lambda source, index, initial, cfg: SimpleNamespace(estimate=initial)
 
         def run(seed):
-            return run_fusion(small_room, frames, ("icp_only",), setup, seed=seed,
+            return run_fusion(small_room, frames, replace(setup, seed=seed),
                               align=passthrough)["icp_only"]
 
         a, b, c = run(9), run(9), run(10)
@@ -317,12 +322,10 @@ class TestRunFusion:
 
     def test_real_icp_tracks_room(self, small_room):
         frames = list(range(5))
-        setup = FusionSetup(map=MapSetup(1, 1, map_voxel=0.4, scan_voxel=0.3))
+        setup = FusionSetup(map=MapSetup(1, 1, map_voxel=0.4, scan_voxel=0.3), seed=3,
+                            modes="fixed_cov icp_only")
         truth = truth_trajectory(small_room, frames)
-        trajs = run_fusion(
-            small_room, frames, ("fixed_cov", "icp_only"), setup,
-            fixed_cov=1e-4 * np.eye(6), seed=3,
-        )
+        trajs = run_fusion(small_room, frames, setup, fixed_cov=1e-4 * np.eye(6))
         assert ade(trajs["fixed_cov"], truth) < 0.05
         assert ade(trajs["icp_only"], truth) < 0.05
 
@@ -330,13 +333,12 @@ class TestRunFusion:
         # sharing each frame's scan, map and index across modes must not
         # move a single pose bit against one call per mode
         frames = list(range(5))
-        setup = FusionSetup(map=MapSetup(1, 1, map_voxel=0.4, scan_voxel=0.3))
-        kw = {"model": constant_model(3e-4 * np.eye(6)), "fixed_cov": 1e-4 * np.eye(6),
-              "seed": 3}
-        together = run_fusion(small_room, frames, MODES, setup, **kw)
+        setup = FusionSetup(map=MapSetup(1, 1, map_voxel=0.4, scan_voxel=0.3), seed=3)
+        kw = {"model": constant_model(3e-4 * np.eye(6)), "fixed_cov": 1e-4 * np.eye(6)}
+        together = run_fusion(small_room, frames, setup, **kw)
         assert list(together) == list(MODES)
         for mode in MODES:
-            alone = run_fusion(small_room, frames, (mode,), setup, **kw)[mode]
+            alone = run_fusion(small_room, frames, replace(setup, modes=mode), **kw)[mode]
             assert together[mode].frame_ids == alone.frame_ids == frames
             for a, b in zip(together[mode].poses, alone.poses):
                 assert np.array_equal(a.R, b.R)
@@ -351,9 +353,10 @@ class TestRunFusion:
 
         monkeypatch.setattr(model_mod, "extract_features", spy)
         frames = list(range(3))
-        setup = FusionSetup(map=MapSetup(1, 1, map_voxel=0.4, scan_voxel=0.3, normal_k=6))
-        run_fusion(small_room, frames, ("predicted_cov",), setup,
-                   model=constant_model(1e-4 * np.eye(6)), align=truth_oracle(small_room, frames))
+        setup = FusionSetup(map=MapSetup(1, 1, map_voxel=0.4, scan_voxel=0.3, normal_k=6),
+                            modes="predicted_cov")
+        run_fusion(small_room, frames, setup, model=constant_model(1e-4 * np.eye(6)),
+                   align=truth_oracle(small_room, frames))
         assert seen == [6, 6]
 
     def test_modes_tuple(self):

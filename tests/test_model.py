@@ -124,8 +124,8 @@ class TestKl:
         rng = np.random.default_rng(5)
         y, ref = random_spd(rng), random_spd(rng)
         a = rng.normal(size=(6, 6)) + 3.0 * np.eye(6)
-        lhs = loss_kl(a @ y @ a.T, a @ ref @ a.T, regularize=False)
-        assert abs(lhs - loss_kl(y, ref, regularize=False)) < 1e-8
+        lhs = loss_kl(a @ y @ a.T, a @ ref @ a.T)
+        assert abs(lhs - loss_kl(y, ref)) < 1e-8
 
     def test_singular_prediction_rejected(self):
         with pytest.raises(NotPositiveDefinite):
@@ -136,7 +136,7 @@ class TestKl:
             with pytest.raises(NumericError, match="non-finite"):
                 loss_kl(bad, np.eye(6))
             with pytest.raises(NumericError, match="non-finite"):
-                loss_kl(np.eye(6), bad, regularize=False)
+                loss_kl(np.eye(6), bad)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_label_is_a_numeric_error_when_regularized(self, bad):
@@ -152,8 +152,9 @@ class TestKl:
     def test_singular_label_regularized_or_rejected(self):
         singular = np.zeros((6, 6))
         assert np.isfinite(loss_kl(np.eye(6), singular))
+        # the shift only lifts eigenvalues near zero: an indefinite label stays unusable
         with pytest.raises(NotPositiveDefinite):
-            loss_kl(np.eye(6), singular, regularize=False)
+            loss_kl(np.eye(6), np.diag([1.0, 1, 1, 1, 1, -1]))
 
     def test_regularize_label(self):
         ok = np.eye(6)
