@@ -145,9 +145,6 @@ def cmd_fuse(cfg: RunConfig, threads: int) -> int:
     modes = cfg.fusion.mode_names
     seq = cfg.sequence.open()
     frames = parse_frames(cfg.fusion.frames, len(seq), "fusion.frames")
-    out_dir = cfg.paths.out_dir
-    os.makedirs(out_dir, exist_ok=True)
-
     fixed = None
     if "fixed_cov" in modes:
         _, records = mcgen.read_dataset(cfg.paths.dataset)
@@ -155,6 +152,8 @@ def cmd_fuse(cfg: RunConfig, threads: int) -> int:
     trained = None
     if "predicted_cov" in modes:
         trained, _ = model_mod.load_model(cfg.paths.model)
+    out_dir = cfg.paths.out_dir
+    os.makedirs(out_dir, exist_ok=True)
 
     truth = fusion_mod.Trajectory(list(frames), [seq.pose(k) for k in frames])
     trajs = fusion_mod.run_fusion(

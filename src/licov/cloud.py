@@ -189,18 +189,102 @@ def estimate_normals(cloud: PointCloud, k: int = 10) -> PointCloud:
     n = pts.shape[0]
     if n < k + 1:
         raise TooFewPoints(f"need at least {k + 1} points, have {n}")
-    tree = cKDTree(pts)
-    _, idx = tree.query(pts, k=k + 1)
-    neigh = pts[idx]  # (n, k+1, 3)
-    centered = neigh - neigh.mean(axis=1, keepdims=True)
-    scatter = np.einsum("nij,nik->njk", centered, centered)
-    _, vecs = np.linalg.eigh(scatter)
-    normals = vecs[:, :, 0]  # eigenvector of the smallest eigenvalue
-    flip = np.einsum("ij,ij->i", normals, -pts) < 0.0
-    normals[flip] *= -1.0
-    lengths = np.linalg.norm(normals, axis=1)
-    normals /= lengths[:, None]
+    # nested, so that each step's arrays are freed before the next one runs
+    normals = _smallest_eigenvectors(*_scatter_entries(pts, _knn_in_tree_order(pts, k + 1)))
+    normals[np.einsum("ij,ij->i", normals, pts) > 0.0] *= -1.0
     return PointCloud(pts, normals)
+
+
+def _knn_in_tree_order(pts, k) -> np.ndarray:
+    """(n, k) ids of each point's k nearest points, as
+    cKDTree(pts).query(pts, k) gives them. The queries run in the tree's
+    leaf order, where consecutive ones walk the same nodes; each query is
+    independent, so the ids do not change."""
+    tree = cKDTree(pts)
+    order = tree.indices
+    ids = np.empty((len(pts), k), dtype=np.intp)
+    ids[order] = tree.query(pts[order], k=k)[1]
+    return ids
+
+
+def _scatter_entries(pts, idx) -> tuple:
+    """The six unique entries (xx, yy, zz, xy, xz, yz), each (n,), of the
+    scatter matrices of the n neighborhoods pts[idx]."""
+    x, y, z = (pts[:, j].take(idx) for j in range(3))
+    for c in (x, y, z):
+        c -= c.mean(axis=1, keepdims=True)
+    pairs = ((x, x), (y, y), (z, z), (x, y), (x, z), (y, z))
+    return tuple(np.einsum("ij,ij->i", u, v) for u, v in pairs)
+
+
+def _smallest_eigenvectors(xx, yy, zz, xy, xz, yz) -> np.ndarray:
+    """(n, 3) unit eigenvectors of the smallest eigenvalues of n symmetric
+    3x3 matrices, given by their six unique entries as (n,) arrays.
+
+    The eigenvalues come from the trigonometric closed form (Kopp, IJMPC
+    2008). The one farther from the middle eigenvalue has a well-
+    conditioned vector, the longest cross product of two rows of
+    A - lambda I. When that is the largest eigenvalue, the smallest one's
+    vector is found in its orthogonal complement, by a 2x2 rotation. So
+    the error stays within a few ulps over the relative gap, as with
+    LAPACK. Where the cross product vanishes against the eigenvalue
+    spread (an isotropic matrix, whose every vector is an eigenvector)
+    np.linalg.eigh decides. The sign of a vector is arbitrary.
+    """
+    q = (xx + yy + zz) / 3.0
+    a, b, c = xx - q, yy - q, zz - q
+    p2 = (a * a + b * b + c * c + 2.0 * (xy * xy + xz * xz + yz * yz)) / 6.0
+    p = np.sqrt(p2)
+    det = a * (b * c - yz * yz) - xy * (xy * c - yz * xz) + xz * (xy * yz - b * xz)
+    r = np.clip(det / (2.0 * np.where(p > 0.0, p, 1.0) ** 3), -1.0, 1.0)
+    # eigenvalue j is q + 2p cos(arccos(r)/3 + 2 pi j/3): j = 0 is the
+    # largest, j = 1 the smallest, and the smallest is the farther one
+    # from the middle eigenvalue when r < 0
+    low = r < 0.0
+    lam = q + 2.0 * p * np.cos(np.arccos(r) / 3.0 + np.where(low, 2.0 * np.pi / 3.0, 0.0))
+    a, b, c = xx - lam, yy - lam, zz - lam
+    # rows (a, xy, xz), (xy, b, yz), (xz, yz, c): cross products 01, 02, 12
+    cross = np.array([
+        [xy * yz - xz * b, xz * xy - a * yz, a * b - xy * xy],
+        [xy * c - xz * yz, xz * xz - a * c, a * yz - xy * xz],
+        [b * c - yz * yz, yz * xz - xy * c, xy * yz - b * xz],
+    ])
+    sq = np.einsum("pjn,pjn->pn", cross, cross)
+    best = sq.argmax(axis=0)
+    rows = np.arange(len(q))
+    vecs = cross[best, :, rows]
+    longest = sq[best, rows]
+    # exactly, longest >= 9 p^4; far below that it is rounding noise
+    isotropic = longest <= 1e-20 * p2 * p2
+    vecs /= np.sqrt(np.where(isotropic, 1.0, longest))[:, None]
+    high = ~(low | isotropic)
+    if high.any():
+        entries = (m[high] for m in (xx, yy, zz, xy, xz, yz))
+        vecs[high] = _smallest_beside_largest(vecs[high], *entries)
+    if isotropic.any():
+        full = np.array([xx, xy, xz, xy, yy, yz, xz, yz, zz])[:, isotropic]
+        vecs[isotropic] = np.linalg.eigh(full.T.reshape(-1, 3, 3))[1][:, :, 0]
+    return vecs
+
+
+def _smallest_beside_largest(v, xx, yy, zz, xy, xz, yz) -> np.ndarray:
+    """The smallest eigenvalue's unit vectors, given v, the largest's: the
+    smaller-eigenvalue axis of A restricted to v's orthogonal complement."""
+    zero = np.zeros(len(v))
+    u = np.where((np.abs(v[:, 0]) > np.abs(v[:, 1]))[:, None],
+                 np.stack([-v[:, 2], zero, v[:, 0]], axis=1),
+                 np.stack([zero, v[:, 2], -v[:, 1]], axis=1))
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    w = np.cross(v, u)
+
+    def form(s, t):  # s^T A t, row by row
+        return (s[:, 0] * (xx * t[:, 0] + xy * t[:, 1] + xz * t[:, 2])
+                + s[:, 1] * (xy * t[:, 0] + yy * t[:, 1] + yz * t[:, 2])
+                + s[:, 2] * (xz * t[:, 0] + yz * t[:, 1] + zz * t[:, 2]))
+
+    # (cos, sin) of theta is the larger eigenvalue's axis in the (u, w) basis
+    theta = 0.5 * np.arctan2(2.0 * form(u, w), form(u, u) - form(w, w))
+    return np.cos(theta)[:, None] * w - np.sin(theta)[:, None] * u
 
 
 def transform_cloud(cloud: PointCloud, t: se3.SE3) -> PointCloud:

@@ -66,8 +66,12 @@ class FusionSetup:
         require(self, 0, "motion_sigma_xyz", "motion_sigma_rot_deg", "seed")
         require(self, 0, "init_cov", strict=True)
         frame_selection(self.frames)
-        if not self.mode_names or not set(self.mode_names) <= set(MODES):
+        names = self.mode_names
+        if not names or not set(names) <= set(MODES):
             raise ConfigError(f"modes must be one or more of {' '.join(MODES)}, got {self.modes!r}")
+        for i, mode in enumerate(names):
+            if mode in names[:i]:
+                raise ConfigError(f"modes lists {mode} more than once, got {self.modes!r}")
 
     @property
     def mode_names(self) -> tuple:
@@ -175,7 +179,7 @@ def run_fusion(
     (source, index, initial, cfg -> object with .estimate); it is called
     once per frame and mode.
     """
-    modes = tuple(dict.fromkeys(setup.mode_names))
+    modes = setup.mode_names
     if "predicted_cov" in modes and model is None:
         raise ConfigError("predicted_cov mode requires a trained model")
     if "fixed_cov" in modes and fixed_cov is None:

@@ -19,6 +19,9 @@ PI_MARGIN = 1e-6
 
 _ORTHO_TOL = 1e-9
 
+_EYE3 = np.eye(3)
+_EYE3.setflags(write=False)
+
 
 def skew(v) -> np.ndarray:
     """Cross-product matrix: skew(v) @ w == cross(v, w)."""
@@ -39,17 +42,13 @@ class SE3:
         t = np.array(translation, dtype=float).reshape(3)
         if R.shape != (3, 3):
             raise ValueError("rotation must be a 3x3 matrix")
-        if not (np.isfinite(R).all() and np.isfinite(t).all()):
-            raise ValueError("transform entries must be finite")
-        ortho = np.linalg.norm(R.T @ R - np.eye(3))
+        _require_finite(R, t)
+        ortho = np.linalg.norm(R.T @ R - _EYE3)
         if ortho > _ORTHO_TOL:
             raise ValueError(f"rotation not orthonormal, |R^T R - I| = {ortho:.3e}")
         if abs(np.linalg.det(R) - 1.0) > _ORTHO_TOL:
             raise ValueError("rotation must have determinant +1")
-        R.setflags(write=False)
-        t.setflags(write=False)
-        object.__setattr__(self, "R", R)
-        object.__setattr__(self, "t", t)
+        _store(self, R, t)
 
     def __setattr__(self, name, value):
         raise AttributeError("SE3 is immutable")
@@ -76,13 +75,37 @@ class SE3:
         return f"SE3(t={np.array2string(self.t, precision=4)})"
 
 
+def _require_finite(R, t):
+    if not (np.isfinite(R).all() and np.isfinite(t).all()):
+        raise ValueError("transform entries must be finite")
+
+
+def _store(pose, R, t):
+    R.setflags(write=False)
+    t.setflags(write=False)
+    object.__setattr__(pose, "R", R)
+    object.__setattr__(pose, "t", t)
+
+
+def _derived(R, t) -> SE3:
+    """The SE3 of a rotation and translation this module computed from
+    validated transforms or a finite twist. Products and Rodrigues'
+    formula stay orthonormal to rounding, so only finiteness (an
+    overflow) is checked; the public constructor checks the rest."""
+    _require_finite(R, t)
+    pose = object.__new__(SE3)
+    _store(pose, R, t)
+    return pose
+
+
 def compose(a: SE3, b: SE3) -> SE3:
     """(a o b): apply b first, then a."""
-    return SE3(a.R @ b.R, a.R @ b.t + a.t)
+    return _derived(a.R @ b.R, a.R @ b.t + a.t)
 
 
 def inverse(t: SE3) -> SE3:
-    return SE3(t.R.T, -(t.R.T @ t.t))
+    Rt = np.array(t.R.T)
+    return _derived(Rt, -(Rt @ t.t))
 
 
 def exp(xi) -> SE3:
@@ -99,17 +122,17 @@ def exp(xi) -> SE3:
     W = skew(omega)
     W2 = W @ W
     if theta < SMALL_ANGLE:
-        R = np.eye(3) + W + 0.5 * W2
-        V = np.eye(3) + 0.5 * W + W2 / 6.0
+        R = _EYE3 + W + 0.5 * W2
+        V = _EYE3 + 0.5 * W + W2 / 6.0
     else:
         s, c = np.sin(theta), np.cos(theta)
-        R = np.eye(3) + (s / theta) * W + ((1.0 - c) / theta**2) * W2
+        R = _EYE3 + (s / theta) * W + ((1.0 - c) / theta**2) * W2
         V = (
-            np.eye(3)
+            _EYE3
             + ((1.0 - c) / theta**2) * W
             + ((theta - s) / theta**3) * W2
         )
-    return SE3(R, V @ u)
+    return _derived(R, V @ u)
 
 
 def log(t: SE3) -> np.ndarray:

@@ -155,7 +155,7 @@ class TestUsageErrors:
     @pytest.mark.parametrize("key,value", [
         ("fusion.init_cov", "-1"), ("fusion.init_cov", "nan"),
         ("fusion.motion_sigma_xyz", "-1"), ("fusion.motion_sigma_rot_deg", "nan"),
-        ("fusion.modes", "bogus"), ("fusion.frames", "x"),
+        ("fusion.modes", "bogus"), ("fusion.modes", "icp_only,icp_only"), ("fusion.frames", "x"),
         ("montecarlo.n", "1"), ("montecarlo.frames", "x"),
         ("icp.translation_eps", "nan"), ("icp.max_correspondence_distance", "nan"),
         ("train.learning_rate", "-1"), ("train.init_sigma", "0"), ("train.alpha", "nan"),
@@ -542,9 +542,14 @@ class TestFuse:
         assert [k for k, _ in maps] == [1, 2, 3]
         assert indexed == [m for _, m in maps]
 
-    def test_predicted_mode_requires_model_file(self, ws):
+    # a missing input exits 2 before the output directory is made
+    @pytest.mark.parametrize("mode", ["predicted_cov", "fixed_cov"])
+    def test_filtered_mode_requires_its_input_file(self, tmp_path, mode):
+        out_dir = tmp_path / "out"
         rc = cli.main(["fuse", *COMMON,
-                       "--set", "fusion.modes=predicted_cov",
-                       "--set", f"paths.out_dir={ws['root'] / 'f2'}",
-                       "--set", "paths.model=/nonexistent.txt"])
+                       "--set", f"fusion.modes={mode}",
+                       "--set", f"paths.out_dir={out_dir}",
+                       "--set", f"paths.dataset={tmp_path / 'missing.csv'}",
+                       "--set", f"paths.model={tmp_path / 'missing.txt'}"])
         assert rc == 2
+        assert not out_dir.exists()

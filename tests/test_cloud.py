@@ -3,12 +3,16 @@
 import gc
 import re
 import struct
+import warnings
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
-from licov import se3
+from licov import cloud, se3
 from licov.cloud import (
     MapSetup,
     NeighborIndex,
@@ -33,6 +37,7 @@ from licov.errors import (
     MissingPose,
     TooFewPoints,
 )
+from licov.features import extract_features
 from licov.sequences import InMemorySequence, KittiSequence, parse_frames
 
 from conftest import random_pose
@@ -197,6 +202,23 @@ class TestVoxelDownsample:
         assert voxel_downsample(cloud, 1.0).normals is None
 
 
+def reference_normals(pts, k):
+    """Normals by batched LAPACK eigh of the (n, 3, 3) neighborhood
+    scatter, flipped toward the origin."""
+    _, idx = cKDTree(pts).query(pts, k=k + 1)
+    neigh = pts[idx]
+    centered = neigh - neigh.mean(axis=1, keepdims=True)
+    normals = np.linalg.eigh(np.einsum("nij,nik->njk", centered, centered))[1][:, :, 0]
+    normals[np.einsum("ij,ij->i", normals, -pts) < 0.0] *= -1.0
+    return normals
+
+
+@pytest.fixture(scope="module")
+def corridor_scans(corridor_sequence):
+    setup = MapSetup(scan_voxel=0.2)
+    return [setup.scan(corridor_sequence, k).points for k in range(0, len(corridor_sequence), 5)]
+
+
 class TestNormals:
     def test_flat_plane_z0(self):
         rng = np.random.default_rng(5)
@@ -235,6 +257,57 @@ class TestNormals:
     def test_k_below_three_rejected(self):
         with pytest.raises(ValueError):
             estimate_normals(PointCloud(np.eye(3)), k=2)
+
+    # A = Q diag(lams) Q^T for random rotations Q, and Gaussian scatters
+    # with columns scaled over eight decades
+    @seed(20261019)
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(lams=st.lists(st.floats(0.0, 1e3), min_size=3, max_size=3),
+           stack_seed=st.integers(0, 2**32 - 1))
+    def test_closed_form_matches_eigh(self, lams, stack_seed):
+        rng = np.random.default_rng(stack_seed)
+        q, _ = np.linalg.qr(rng.normal(size=(64, 3, 3)))
+        g = rng.normal(size=(64, 3, 4)) * 10.0 ** rng.uniform(-6.0, 2.0, size=(64, 1, 4))
+        a = np.concatenate([q @ (np.array(lams)[:, None] * q.transpose(0, 2, 1)),
+                            g @ g.transpose(0, 2, 1)])
+        a = 0.5 * (a + a.transpose(0, 2, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vecs = cloud._smallest_eigenvectors(a[:, 0, 0], a[:, 1, 1], a[:, 2, 2],
+                                                a[:, 0, 1], a[:, 0, 2], a[:, 1, 2])
+        assert np.allclose(np.linalg.norm(vecs, axis=1), 1.0, rtol=0, atol=1e-12)
+        lam, ref = np.linalg.eigh(a)
+        sin = np.linalg.norm(np.cross(vecs, ref[:, :, 0]), axis=1)
+        scaled = lam[:, 2] > 0.0
+        relgap = (lam[scaled, 1] - lam[scaled, 0]) / lam[scaled, 2]
+        assert np.all(sin[scaled] * relgap <= 1e-12)
+
+    @pytest.mark.parametrize("pts", [
+        np.c_[np.mgrid[0:4, 0:4].reshape(2, -1).T * 0.5, np.full(16, 2.0)],
+        np.outer(np.arange(12.0), [0.3, -0.2, 0.1]) + [1.0, 2.0, 3.0],
+        np.vstack([np.eye(3), -np.eye(3)]),
+        np.full((12, 3), 1.5),
+        np.repeat(np.c_[np.mgrid[0:3, 0:3].reshape(2, -1).T, np.zeros(9)], 2, axis=0),
+    ], ids=["plane", "collinear", "axes", "one_point", "doubled_plane"])
+    def test_degenerate_neighborhoods_give_unit_normals(self, pts):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = estimate_normals(PointCloud(pts), k=5)
+        assert np.allclose(np.linalg.norm(out.normals, axis=1), 1.0, rtol=0, atol=1e-12)
+
+    def test_tree_order_query_matches_plain_query(self, corridor_scans):
+        for pts in corridor_scans:
+            assert np.array_equal(cloud._knn_in_tree_order(pts, 11),
+                                  cKDTree(pts).query(pts, k=11)[1])
+
+    def test_scan_normals_and_features_match_eigh(self, corridor_scans):
+        for pts in corridor_scans:
+            ref = reference_normals(pts, 10)
+            new = estimate_normals(PointCloud(pts), k=10).normals
+            assert np.einsum("ij,ij->i", ref, new).min() > 0.0
+            assert np.linalg.norm(np.cross(ref, new), axis=1).max() < 1e-10
+            assert np.allclose(extract_features(PointCloud(pts, ref)),
+                               extract_features(PointCloud(pts)), rtol=0, atol=1e-12)
 
 
 class TestNeighborIndex:

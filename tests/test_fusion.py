@@ -238,7 +238,7 @@ class TestTrajectoryIO:
 
 class TestRunFusion:
     def test_mode_validation(self, small_room):
-        for modes in ("kalman", "", "icp_only,kalman"):
+        for modes in ("kalman", "", "icp_only,kalman", "icp_only fixed_cov icp_only"):
             with pytest.raises(ConfigError, match="^modes "):
                 FusionSetup(modes=modes)
         assert FusionSetup(modes="fixed_cov,icp_only").mode_names == ("fixed_cov", "icp_only")

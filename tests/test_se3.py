@@ -227,6 +227,18 @@ class TestValidation:
         with pytest.raises(ValueError):
             se3.SE3(np.eye(3), np.zeros(4))
 
+    def test_long_products_still_pass_the_check(self):
+        # compose, inverse and exp do not re-check orthonormality; rounding
+        # over 1e5 products of validated rotations must stay within it
+        rng = np.random.default_rng(17)
+        q, _ = np.linalg.qr(rng.normal(size=(100_000, 3, 3)))
+        q *= np.sign(np.linalg.det(q))[:, None, None]
+        product = SE3_IDENTITY()
+        for R in q:
+            product = product @ se3.SE3(R, np.zeros(3))
+        for t in (product, se3.inverse(product)):
+            se3.SE3(t.R, t.t)
+
     def test_fields_read_only(self):
         t = SE3_IDENTITY()
         with pytest.raises(ValueError):
