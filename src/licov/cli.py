@@ -216,15 +216,15 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         cfg = _load(args)
         return _COMMANDS[args.command](cfg, args.threads)
+    except (NumericError, np.linalg.LinAlgError) as e:  # before ValueError: LinAlgError is one
+        print(f"numeric error: {e}", file=sys.stderr)
+        return 3
     except (ConfigError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except (DataError, OSError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 2
-    except (NumericError, np.linalg.LinAlgError) as e:
-        print(f"numeric error: {e}", file=sys.stderr)
-        return 3
 
 
 def entry():

@@ -13,17 +13,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from . import se3
-from .errors import (
-    EmptyCloud,
-    EmptyIndex,
-    EmptySequence,
-    InvalidVoxelSize,
-    MalformedScan,
-    MissingPose,
-    TooFewPoints,
-    at_line,
-    require,
-)
+from .errors import ConfigError, DataError, at_line, require
 
 _RECORD_BYTES = 16
 
@@ -84,8 +74,12 @@ class MapSetup:
         return voxel_downsample(sequence.scan(k), self.scan_voxel)
 
     def frame(self, sequence, k):
-        """-> (filtered scan, NeighborIndex over the local map) of frame k."""
+        """-> (filtered scan, NeighborIndex over the local map) of frame k;
+        a map too small to carry normals is a DataError."""
         local_map = build_local_map(sequence.scans, sequence.poses, k, self)
+        if local_map.normals is None:
+            raise DataError(f"frame {k}: local map has {len(local_map)} points, "
+                            "too few for normals (need 4)")
         return self.scan(sequence, k), NeighborIndex(local_map)
 
 
@@ -94,13 +88,13 @@ def load_kitti_scan(path) -> PointCloud:
     with open(path, "rb") as f:
         raw = f.read()
     if len(raw) % _RECORD_BYTES != 0:
-        raise MalformedScan(
+        raise DataError(
             f"{path}: size {len(raw)} is not a multiple of {_RECORD_BYTES}"
         )
     data = np.frombuffer(raw, dtype="<f4").reshape(-1, 4)
     pts = data[:, :3].astype(float)
     if not np.isfinite(pts).all():
-        raise MalformedScan(f"{path}: non-finite coordinates")
+        raise DataError(f"{path}: non-finite coordinates")
     return PointCloud(pts)
 
 
@@ -127,7 +121,7 @@ def parse_pose(values, path, lineno) -> se3.SE3:
     with at_line(path, lineno):
         m = np.array([float(x) for x in values])
         if len(m) != 12:
-            raise MalformedScan(f"{path}:{lineno}: expected 12 values, got {len(m)}")
+            raise DataError(f"{path}:{lineno}: expected 12 values, got {len(m)}")
         m = m.reshape(3, 4)
         return se3.SE3(m[:, :3], m[:, 3])
 
@@ -153,10 +147,10 @@ def voxel_downsample(cloud: PointCloud, voxel_size: float) -> PointCloud:
     summation roundoff. Normals are dropped (centroids need re-estimation).
     The keys are packed into one int64 in mixed radix over the occupied
     grid, which keeps that order; a grid of more than 2**63 - 1 cells
-    raises InvalidVoxelSize.
+    raises ConfigError.
     """
     if not np.isfinite(voxel_size) or voxel_size <= 0:
-        raise InvalidVoxelSize(f"voxel_size must be positive, got {voxel_size}")
+        raise ConfigError(f"voxel_size must be positive, got {voxel_size}")
     pts = cloud.points
     if pts.shape[0] == 0:
         return PointCloud(pts)
@@ -164,7 +158,7 @@ def voxel_downsample(cloud: PointCloud, voxel_size: float) -> PointCloud:
     lo = keys.min(axis=0)
     nx, ny, nz = (int(h) - int(l) + 1 for h, l in zip(keys.max(axis=0), lo))
     if nx * ny * nz > np.iinfo(np.int64).max:
-        raise InvalidVoxelSize(
+        raise ConfigError(
             f"voxel_size {voxel_size} gives a grid of {nx * ny * nz} cells, over 2**63 - 1"
         )
     rel = keys - lo
@@ -188,7 +182,7 @@ def estimate_normals(cloud: PointCloud, k: int = 10) -> PointCloud:
     pts = cloud.points
     n = pts.shape[0]
     if n < k + 1:
-        raise TooFewPoints(f"need at least {k + 1} points, have {n}")
+        raise DataError(f"need at least {k + 1} points, have {n}")
     # nested, so that each step's arrays are freed before the next one runs
     normals = _smallest_eigenvectors(*_scatter_entries(pts, _knn_in_tree_order(pts, k + 1)))
     normals[np.einsum("ij,ij->i", normals, pts) > 0.0] *= -1.0
@@ -308,7 +302,7 @@ class NeighborIndex:
         """Vectorized queries -> (distances, ids), shaped (N,) for k = 1 and
         (N, k) nearest first otherwise. No tie canonicalization."""
         if self._tree is None:
-            raise EmptyIndex("nearest-neighbor query against an empty index")
+            raise DataError("nearest-neighbor query against an empty index")
         return self._tree.query(np.asarray(queries, dtype=float), k=k, workers=workers)
 
 
@@ -324,20 +318,20 @@ def build_local_map(scans, poses, k: int, setup: MapSetup) -> PointCloud:
     """
     n = len(scans)
     if n == 0:
-        raise EmptySequence("no scans available")
+        raise DataError("no scans available")
     if not 0 <= k < n:
-        raise MissingPose(f"frame {k} outside sequence of length {n}")
+        raise DataError(f"frame {k} outside sequence of length {n}")
     lo = max(0, k - setup.window_before)
     hi = min(n - 1, k + setup.window_after)
     parts = []
     for i in range(lo, hi + 1):
         if i >= len(poses) or poses[i] is None:
-            raise MissingPose(f"frame {i} has no pose")
+            raise DataError(f"frame {i} has no pose")
         parts.append(transform_cloud(scans[i], poses[i]).points)
     merged = PointCloud(np.vstack(parts))
     reduced = voxel_downsample(merged, setup.map_voxel)
     if len(reduced) == 0:
-        raise EmptyCloud("local map is empty after voxel filtering")
+        raise DataError("local map is empty after voxel filtering")
     if len(reduced) < 4:
         return reduced
     return estimate_normals(reduced, k=min(setup.normal_k, len(reduced) - 1))

@@ -1,7 +1,8 @@
 """Exception taxonomy.
 
-Three branches matching the CLI exit-code contract: configuration and
-usage problems (exit 1), data problems (exit 2), numeric failures (exit 3).
+One type per CLI exit code: configuration and usage problems (exit 1),
+data problems (exit 2), numeric failures (exit 3). The only subclasses are
+the three that code catches by name; every other fault raises its branch.
 """
 import math
 from contextlib import contextmanager
@@ -27,64 +28,12 @@ class AngleNearPi(NumericError):
     """Rotation angle within 1e-6 of pi, where the log map is unstable."""
 
 
-class MalformedScan(DataError):
-    """Scan file not a whole number of 16-byte records, or non-finite data."""
-
-
-class InvalidVoxelSize(ConfigError):
-    """Voxel size must be strictly positive and finite."""
-
-
-class TooFewPoints(DataError):
-    """Not enough points for the requested neighborhood size."""
-
-
-class EmptyCloud(DataError):
-    """Operation requires a non-empty point cloud."""
-
-
-class EmptyIndex(DataError):
-    """Nearest-neighbor query against an empty index."""
-
-
-class MissingPose(DataError):
-    """A frame in the requested window has no pose."""
-
-
-class EmptySequence(DataError):
-    """Scan or pose source contains no frames."""
-
-
 class NoCorrespondences(NumericError):
     """All candidate pairs rejected by the correspondence distance gate."""
 
 
 class TooFewValidSamples(NumericError):
     """Fewer than two Monte-Carlo samples survived; covariance undefined."""
-
-
-class NotPositiveDefinite(NumericError):
-    """Matrix expected to be positive definite is not."""
-
-
-class EmptyDataset(DataError):
-    """Dataset file contains no records."""
-
-
-class FrameMismatch(DataError):
-    """Estimated and reference trajectories cover different frames."""
-
-
-class LengthMismatch(DataError):
-    """Paired collections differ in length."""
-
-
-class EmptyEvaluation(DataError):
-    """Evaluation requires at least one (prediction, label) pair."""
-
-
-class EmptyTrajectory(DataError):
-    """Trajectory metric requires at least one frame."""
 
 
 def require(obj, low, *names, strict=False):

@@ -23,7 +23,7 @@ import hashlib
 import numpy as np
 
 from .cloud import PointCloud, estimate_normals
-from .errors import EmptyCloud
+from .errors import DataError
 
 FEATURE_DIM = 32
 
@@ -84,7 +84,7 @@ def extract_features(cloud: PointCloud, normal_k: int = 10) -> np.ndarray:
     pts = cloud.points
     n = pts.shape[0]
     if n == 0:
-        raise EmptyCloud("cannot extract features from an empty cloud")
+        raise DataError("cannot extract features from an empty cloud")
 
     r = np.linalg.norm(pts, axis=1)
     r_max = float(r.max())

@@ -16,15 +16,7 @@ import numpy as np
 
 from . import se3
 from .cloud import MapSetup, format_pose, parse_pose
-from .errors import (
-    ConfigError,
-    DataError,
-    EmptyTrajectory,
-    FrameMismatch,
-    NotPositiveDefinite,
-    at_line,
-    require,
-)
+from .errors import ConfigError, DataError, NumericError, at_line, require
 from .icp import IcpConfig, icp_point_to_plane
 from .model import predict
 from .sequences import frame_selection
@@ -112,7 +104,7 @@ def ekf_update(state: FusionState, measurement: se3.SE3, meas_cov) -> FusionStat
     try:
         gain_t = np.linalg.solve(S, P)  # S^-1 P = K^T since P, S symmetric
     except np.linalg.LinAlgError:
-        raise NotPositiveDefinite("innovation covariance is singular")
+        raise NumericError("innovation covariance is singular")
     K = gain_t.T
     pose = state.pose @ se3.exp(K @ nu)
     IK = np.eye(6) - K
@@ -186,7 +178,7 @@ def run_fusion(
         raise ConfigError("fixed_cov mode requires an averaged dataset covariance")
     frames = sorted(set(int(f) for f in frames))
     if not frames:
-        raise EmptyTrajectory("no frames to fuse")
+        raise DataError("no frames to fuse")
     if align is None:
         align = functools.partial(icp_point_to_plane, workers=workers)
 
@@ -220,9 +212,9 @@ def run_fusion(
 
 def _check_pair(estimate: Trajectory, reference: Trajectory):
     if len(estimate) == 0 or len(reference) == 0:
-        raise EmptyTrajectory("trajectory metrics need at least one frame")
+        raise DataError("trajectory metrics need at least one frame")
     if list(estimate.frame_ids) != list(reference.frame_ids):
-        raise FrameMismatch("trajectories cover different frames")
+        raise DataError("trajectories cover different frames")
 
 
 def ade(estimate: Trajectory, reference: Trajectory) -> float:

@@ -21,8 +21,8 @@ from . import se3
 from .cloud import MapSetup, NeighborIndex
 from .errors import (
     AngleNearPi,
+    ConfigError,
     DataError,
-    EmptyDataset,
     NoCorrespondences,
     TooFewValidSamples,
     at_line,
@@ -114,8 +114,10 @@ def sample_rng(seed: int, frame_id: int, i: int):
 def sample_perturbation(spec: PerturbationSpec, rng) -> np.ndarray:
     """One twist draw from the diagonal Gaussian N(0, diag(sigmas^2))."""
     xi = rng.normal(0.0, 1.0, 6) * spec.sigmas()
-    if np.linalg.norm(xi[3:]) >= np.pi:
-        raise ValueError("drawn rotation exceeds the principal branch")
+    angle = np.linalg.norm(xi[3:])
+    if angle >= np.pi:
+        raise ConfigError("perturbation.sigma_phi/sigma_theta/sigma_psi: "
+                          f"drew a rotation of {angle:.4g} rad, at or past pi")
     return xi
 
 
@@ -175,7 +177,7 @@ def run_monte_carlo(
 def average_covariance(records) -> np.ndarray:
     """Arithmetic mean of record covariances (fixed-covariance baseline)."""
     if not records:
-        raise EmptyDataset("no records to average")
+        raise DataError("no records to average")
     return np.mean([r.covariance for r in records], axis=0)
 
 
@@ -242,7 +244,7 @@ def read_dataset(path):
                 )
             )
     if not records:
-        raise EmptyDataset(f"{path}: no records")
+        raise DataError(f"{path}: no records")
     return metadata, records
 
 

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyEvaluation, LengthMismatch
+from .errors import DataError
 from .mcgen import UPPER_I, UPPER_J, pack_upper
 from .model import loss_kl
 
@@ -34,11 +34,11 @@ def evaluate(predictions, labels) -> EvalReport:
     predictions = list(predictions)
     labels = list(labels)
     if len(predictions) != len(labels):
-        raise LengthMismatch(
+        raise DataError(
             f"{len(predictions)} predictions vs {len(labels)} labels"
         )
     if not predictions:
-        raise EmptyEvaluation("nothing to evaluate")
+        raise DataError("nothing to evaluate")
     kls = loss_kl(np.array(predictions, dtype=float), np.array(labels, dtype=float))
     diffs = np.abs(
         np.array([pack_upper(p) - pack_upper(l) for p, l in zip(predictions, labels)])

@@ -18,7 +18,7 @@ from scipy.special import expit
 
 from . import se3
 from .cloud import PointCloud, transform_cloud
-from .errors import DataError, EmptyDataset, NotPositiveDefinite, NumericError, require
+from .errors import DataError, NumericError, require
 from .features import FEATURE_DIM, extract_features, feature_spec_hash, with_normals
 from .mcgen import UPPER_I, UPPER_J
 
@@ -85,7 +85,7 @@ def cov_to_params(cov) -> np.ndarray:
     try:
         L = np.linalg.cholesky(np.asarray(cov, dtype=float))
     except np.linalg.LinAlgError as e:
-        raise NotPositiveDefinite(f"cov_to_params needs a PD matrix: {e}")
+        raise NumericError(f"cov_to_params needs a PD matrix: {e}")
     raw = np.zeros(RAW_DIM)
     raw[:6] = inv_softplus(np.clip(np.diag(L) - DIAG_FLOOR, 1e-300, None))
     raw[6:] = L[_TRIL_I, _TRIL_J]
@@ -110,7 +110,7 @@ def _factor(mats, what, regularize: bool = False):
     try:
         L = np.linalg.cholesky(mats)
     except np.linalg.LinAlgError:
-        raise NotPositiveDefinite(f"{what} is not positive definite")
+        raise NumericError(f"{what} is not positive definite")
     return L, np.stack([dpotrs(l, _EYE, lower=1)[0] for l in L])
 
 
@@ -257,7 +257,7 @@ def predict(model: RegressionModel, scan: PointCloud, normal_k: int = 10) -> np.
 
 def _sampling_p(records):
     if not records:
-        raise EmptyDataset("cannot sample from an empty record set")
+        raise DataError("cannot sample from an empty record set")
     w = np.array([np.abs(r.covariance).max() for r in records], dtype=float)
     bad = np.flatnonzero(~np.isfinite(w))
     if bad.size:
@@ -301,7 +301,7 @@ def train(samples, config: TrainConfig = TrainConfig(), normal_k: int = 10,
     sums in sample order: the bytes of a sample-at-a-time loop.
     """
     if not samples:
-        raise EmptyDataset("training needs at least one labeled sample")
+        raise DataError("training needs at least one labeled sample")
     records = [rec for rec, _ in samples]
     p = _sampling_p(records)
     scans = [with_normals(scan, normal_k) for _, scan in samples]

@@ -10,7 +10,7 @@ import functools
 import os
 
 from . import cloud, se3
-from .errors import ConfigError, EmptySequence, MissingPose
+from .errors import ConfigError, DataError
 
 
 class _View:
@@ -53,14 +53,14 @@ class KittiSequence(Sequence):
 
     def __init__(self, scan_dir, pose_file):
         if not os.path.isdir(scan_dir):
-            raise MissingPose(f"scan directory not found: {scan_dir}")
+            raise DataError(f"scan directory not found: {scan_dir}")
         names = sorted(n for n in os.listdir(scan_dir) if n.endswith(".bin"))
         if not names:
-            raise EmptySequence(f"no .bin scans in {scan_dir}")
+            raise DataError(f"no .bin scans in {scan_dir}")
         self._paths = [os.path.join(scan_dir, n) for n in names]
         self._poses = cloud.load_kitti_poses(pose_file)
         if len(self._poses) < len(self._paths):
-            raise MissingPose(
+            raise DataError(
                 f"{pose_file}: {len(self._poses)} poses for {len(self._paths)} scans"
             )
         self._load = functools.lru_cache(maxsize=64)(cloud.load_kitti_scan)
@@ -80,9 +80,9 @@ class InMemorySequence(Sequence):
 
     def __init__(self, scans, poses):
         if len(scans) == 0:
-            raise EmptySequence("no scans")
+            raise DataError("no scans")
         if len(poses) < len(scans):
-            raise MissingPose("fewer poses than scans")
+            raise DataError("fewer poses than scans")
         self._scans = list(scans)
         self._poses = list(poses)
 

@@ -8,7 +8,7 @@ import pytest
 
 from licov import cli, cloud, metrics
 from licov.cloud import load_kitti_poses, load_kitti_scan, voxel_downsample
-from licov.errors import NumericError
+from licov.errors import ConfigError, DataError, NumericError
 from licov.features import extract_features
 from licov.fusion import read_trajectory
 from licov.mcgen import CovRecord, read_dataset, write_dataset
@@ -66,15 +66,20 @@ def spy_map_builds(monkeypatch):
     return maps, indexed
 
 
-def assert_named_before_reading_data(capsys, command, key, value):
-    """key=value exits 1 with one line naming it; every input is missing,
-    so reading any of them first would exit 2."""
-    missing = ["--set", "sequence.kind=kitti", "--set", "sequence.scan_dir=/nonexistent",
-               "--set", "sequence.pose_file=/nonexistent.txt",
-               "--set", "paths.dataset=/nonexistent.csv", "--set", "paths.model=/nonexistent.txt"]
+def assert_named_before_reading_data(tmp_path, capsys, command, key, value):
+    """key=value exits 1 with one line naming it; every input and output is
+    a missing child of tmp_path, so reading any input first would exit 2,
+    and nothing is written."""
+    missing = ["--set", "sequence.kind=kitti", "--set", f"sequence.scan_dir={tmp_path / 'scans'}",
+               "--set", f"sequence.pose_file={tmp_path / 'poses.txt'}",
+               "--set", f"paths.dataset={tmp_path / 'ds.csv'}",
+               "--set", f"paths.model={tmp_path / 'model.txt'}",
+               "--set", f"paths.report={tmp_path / 'report.txt'}",
+               "--set", f"paths.out_dir={tmp_path / 'out'}"]
     assert cli.main([command, *missing, "--set", f"{key}={value}"]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {key} ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +102,21 @@ def ws(tmp_path_factory):
     finally:
         os.chdir(old)
     return {"root": root, "rcs": rcs}
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("exc, code, prefix", [
+        (ConfigError, 1, "error"), (ValueError, 1, "error"),
+        (DataError, 2, "data error"), (OSError, 2, "data error"),
+        (NumericError, 3, "numeric error"), (np.linalg.LinAlgError, 3, "numeric error"),
+    ])
+    def test_fault_type_sets_code_and_line(self, monkeypatch, capsys, exc, code, prefix):
+        def fails(cfg, threads):
+            raise exc("boom")
+
+        monkeypatch.setitem(cli._COMMANDS, "synth", fails)
+        assert cli.main(["synth"]) == code
+        assert capsys.readouterr().err == f"{prefix}: boom\n"
 
 
 class TestUsageErrors:
@@ -123,8 +143,9 @@ class TestUsageErrors:
     def test_invalid_domain_value(self):
         assert cli.main(["generate", *COMMON, "--set", "perturbation.sigma_x=-1"]) == 1
 
-    def test_missing_config_file(self):
-        assert cli.main(["generate", "--config", "/nonexistent/licov.ini"]) == 2
+    def test_missing_config_file(self, tmp_path):
+        assert cli.main(["generate", "--config", str(tmp_path / "missing" / "licov.ini")]) == 2
+        assert list(tmp_path.iterdir()) == []
 
     def test_config_file_unknown_section(self, tmp_path):
         path = tmp_path / "cfg.ini"
@@ -136,18 +157,22 @@ class TestUsageErrors:
         path.write_text("density = 4\n")  # key before any section header
         assert cli.main(["generate", "--config", str(path)]) == 1
 
-    def test_negative_window_rejected_before_reading_data(self):
+    def test_negative_window_rejected_before_reading_data(self, tmp_path):
         for command in ("train", "eval"):
             assert cli.main([command, *COMMON, "--set", "map.window_before=-1",
-                             "--set", "paths.dataset=/nonexistent.csv"]) == 1
+                             "--set", f"paths.dataset={tmp_path / 'ds.csv'}",
+                             "--set", f"paths.model={tmp_path / 'model.txt'}",
+                             "--set", f"paths.report={tmp_path / 'report.txt'}"]) == 1
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["generate", "train", "eval", "fuse"])
     @pytest.mark.parametrize("key,value", [
         ("normal_k", "2"), ("map_voxel", "0"), ("map_voxel", "nan"),
         ("scan_voxel", "-0.1"), ("scan_voxel", "inf"),
     ])
-    def test_bad_map_setting_named_before_reading_data(self, capsys, command, key, value):
-        assert_named_before_reading_data(capsys, command, f"map.{key}", value)
+    def test_bad_map_setting_named_before_reading_data(self, tmp_path, capsys, command, key,
+                                                       value):
+        assert_named_before_reading_data(tmp_path, capsys, command, f"map.{key}", value)
 
     # one table with the map rows above: every section, checked at load
     # whether or not the command uses it
@@ -166,8 +191,8 @@ class TestUsageErrors:
         ("sequence.seed", "-1"), ("montecarlo.seed", "-1"), ("train.seed", "-1"),
         ("fusion.seed", "-1"), ("sequence.kind", "bogus"), ("sequence.scene", "bogus"),
     ])
-    def test_bad_setting_named_before_reading_data(self, capsys, command, key, value):
-        assert_named_before_reading_data(capsys, command, key, value)
+    def test_bad_setting_named_before_reading_data(self, tmp_path, capsys, command, key, value):
+        assert_named_before_reading_data(tmp_path, capsys, command, key, value)
 
     # the room of COMMON has 4 frames; the dataset and model are missing, so
     # fuse would exit 2 had it read them first
@@ -180,10 +205,22 @@ class TestUsageErrors:
         assert cli.main([command, *COMMON, "--set", f"{key}={value}",
                          "--set", f"paths.out_dir={tmp_path}",
                          "--set", f"paths.dataset={tmp_path / 'ds.csv'}",
-                         "--set", "paths.model=/nonexistent.txt"]) == 1
+                         "--set", f"paths.model={tmp_path / 'model.txt'}"]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {key} ") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
+
+    def test_rotation_draw_past_pi_names_the_sigmas(self, tmp_path, capsys):
+        ds = tmp_path / "ds.csv"
+        assert cli.main(["generate", *COMMON, "--set", "montecarlo.n=20",
+                         "--set", "perturbation.sigma_phi=120",
+                         "--set", "perturbation.sigma_theta=120",
+                         "--set", f"paths.dataset={ds}"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: perturbation.sigma_phi/sigma_theta/sigma_psi: "
+                              "drew a rotation of ")
+        assert err.endswith(" rad, at or past pi\n") and err.count("\n") == 1
+        assert not ds.exists()
 
     def test_synth_requires_synthetic(self):
         assert cli.main(["synth", "--set", "sequence.kind=kitti"]) == 1
@@ -197,9 +234,25 @@ class TestDataErrors:
     def test_missing_model(self, tmp_path):
         ds = tmp_path / "ds.csv"
         handcrafted_dataset(ds, n_frames=1)
+        missing = tmp_path / "missing.txt"
         assert cli.main(["eval", *COMMON,
                          "--set", f"paths.dataset={ds}",
-                         "--set", "paths.model=/nonexistent.txt"]) == 2
+                         "--set", f"paths.model={missing}",
+                         "--set", f"paths.report={tmp_path / 'report.txt'}"]) == 2
+        assert list(tmp_path.iterdir()) == [ds]
+
+    # window 0 at this density leaves a local map of 2 points, too few for
+    # the normals point-to-plane ICP needs; fuse starts at frame 1
+    @pytest.mark.parametrize("command, frame", [("generate", 0), ("fuse", 1)])
+    def test_local_map_too_small_for_normals(self, tmp_path, capsys, command, frame):
+        assert cli.main([command, "--set", "sequence.scene=room",
+                         "--set", "sequence.density=0.008", "--set", "sequence.n_frames=3",
+                         "--set", "map.window_before=0", "--set", "map.window_after=0",
+                         "--set", "fusion.modes=icp_only",
+                         "--set", f"paths.dataset={tmp_path / 'ds.csv'}",
+                         "--set", f"paths.out_dir={tmp_path / 'out'}"]) == 2
+        assert capsys.readouterr().err == (
+            f"data error: frame {frame}: local map has 2 points, too few for normals (need 4)\n")
 
     # one non-numeric value per field kind: (line, comma-separated column, text)
     @pytest.mark.parametrize("line, column, text", [
@@ -526,12 +579,13 @@ class TestFuse:
                        "--set", "fusion.modes=icp_only",
                        "--set", "fusion.seed=3",
                        "--set", f"paths.out_dir={tmp_path}",
-                       "--set", "paths.dataset=/nonexistent.csv",
-                       "--set", "paths.model=/nonexistent.txt"])
+                       "--set", f"paths.dataset={tmp_path / 'missing.csv'}",
+                       "--set", f"paths.model={tmp_path / 'missing.txt'}"])
         assert rc == 0
         assert "icp_only" in capsys.readouterr().out
         assert (tmp_path / "trajectory_icp_only.txt").exists()
         assert not (tmp_path / "trajectory_fixed_cov.txt").exists()
+        assert not (tmp_path / "missing.csv").exists() and not (tmp_path / "missing.txt").exists()
 
     def test_all_modes_build_each_map_once(self, ws, monkeypatch):
         maps, indexed = spy_map_builds(monkeypatch)

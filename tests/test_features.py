@@ -7,7 +7,7 @@ import pytest
 
 from licov import se3
 from licov.cloud import PointCloud, transform_cloud
-from licov.errors import EmptyCloud
+from licov.errors import DataError
 from licov.features import FEATURE_DIM, extract_features, feature_spec_hash
 
 
@@ -28,7 +28,7 @@ class TestBasics:
         assert np.array_equal(a, b)
 
     def test_empty_cloud_raises(self):
-        with pytest.raises(EmptyCloud):
+        with pytest.raises(DataError, match="empty cloud"):
             extract_features(PointCloud(np.zeros((0, 3))))
 
     def test_scalar_slots(self):

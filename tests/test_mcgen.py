@@ -9,7 +9,7 @@ import pytest
 
 from licov import cloud, mcgen, se3
 from licov.cloud import MapSetup, PointCloud
-from licov.errors import DataError, EmptyDataset, NoCorrespondences, TooFewValidSamples
+from licov.errors import DataError, NoCorrespondences, TooFewValidSamples
 from licov.icp import IcpConfig
 from licov.mcgen import (
     CovRecord,
@@ -256,7 +256,7 @@ class TestDatasetIO:
         path = tmp_path / "empty.csv"
         write_dataset(path, {"n": "5"}, [])
         assert path.read_text().count("\n") == 2
-        with pytest.raises(EmptyDataset):
+        with pytest.raises(DataError, match="empty.csv: no records"):
             read_dataset(path)
 
     def test_bad_format_line(self, tmp_path):
@@ -275,7 +275,7 @@ class TestDatasetIO:
         recs = [self._record(i) for i in range(4)]
         avg = average_covariance(recs)
         assert np.allclose(avg, np.mean([r.covariance for r in recs], axis=0))
-        with pytest.raises(EmptyDataset):
+        with pytest.raises(DataError, match="no records to average"):
             average_covariance([])
 
 
@@ -344,7 +344,8 @@ class TestGenerateCancellation:
             time.sleep(0.2)
             return CovRecord(frame_id, 2, 1e-4 * np.eye(6), 0, 0, np.zeros(6))
 
-        monkeypatch.setattr(cloud, "build_local_map", lambda *args: DUMMY)
+        local_map = PointCloud(DUMMY.points, [[0.0, 0.0, 1.0]])  # MapSetup.frame needs normals
+        monkeypatch.setattr(cloud, "build_local_map", lambda *args: local_map)
         monkeypatch.setattr(mcgen, "run_monte_carlo", fake_monte_carlo)
         seq = InMemorySequence([DUMMY] * self.FRAMES, [IDENT] * self.FRAMES)
         generate_dataset(seq, range(self.FRAMES), PerturbationSpec(), 2, IcpConfig(), 0,

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from licov.errors import EmptyEvaluation, LengthMismatch
+from licov.errors import DataError
 from licov.metrics import evaluate, report_text
 
 from conftest import random_spd
@@ -54,11 +54,11 @@ class TestEvaluate:
         assert rep.mean_kl >= -1e-12
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(DataError, match="1 predictions vs 2 labels"):
             evaluate([np.eye(6)], [np.eye(6), np.eye(6)])
 
     def test_empty(self):
-        with pytest.raises(EmptyEvaluation):
+        with pytest.raises(DataError, match="nothing to evaluate"):
             evaluate([], [])
 
 

@@ -8,7 +8,7 @@ from scipy.special import expit
 from licov import model as model_mod
 from licov import se3
 from licov.cloud import PointCloud
-from licov.errors import DataError, EmptyDataset, NotPositiveDefinite, NumericError
+from licov.errors import DataError, NumericError
 from licov.mcgen import CovRecord, pack_upper
 from licov.features import extract_features, with_normals
 from licov.model import (
@@ -90,7 +90,7 @@ class TestHeadParameterization:
             assert np.allclose(again, cov, rtol=1e-10, atol=1e-12)
 
     def test_non_pd_rejected(self):
-        with pytest.raises(NotPositiveDefinite):
+        with pytest.raises(NumericError, match="cov_to_params needs a PD matrix"):
             cov_to_params(np.diag([1.0, 1, 1, 1, 1, -1]))
 
     def test_inv_softplus(self):
@@ -128,7 +128,7 @@ class TestKl:
         assert abs(lhs - loss_kl(y, ref)) < 1e-8
 
     def test_singular_prediction_rejected(self):
-        with pytest.raises(NotPositiveDefinite):
+        with pytest.raises(NumericError, match="KL predicted covariance is not positive definite"):
             loss_kl(np.diag([1.0, 1, 1, 1, 1, 0.0]), np.eye(6))
 
     def test_non_finite_matrix_is_a_numeric_error(self):
@@ -153,7 +153,7 @@ class TestKl:
         singular = np.zeros((6, 6))
         assert np.isfinite(loss_kl(np.eye(6), singular))
         # the shift only lifts eigenvalues near zero: an indefinite label stays unusable
-        with pytest.raises(NotPositiveDefinite):
+        with pytest.raises(NumericError, match="KL reference covariance is not positive definite"):
             loss_kl(np.eye(6), np.diag([1.0, 1, 1, 1, 1, -1]))
 
     def test_regularize_label(self):
@@ -433,7 +433,7 @@ class TestWeightedSampling:
         assert abs(frac - 0.5) < 0.01
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyDataset):
+        with pytest.raises(DataError, match="cannot sample from an empty record set"):
             weighted_sample([], 4, np.random.default_rng(0))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -502,7 +502,7 @@ def tiny_samples(n_records=3):
 
 class TestTraining:
     def test_empty_rejected(self):
-        with pytest.raises(EmptyDataset):
+        with pytest.raises(DataError, match="training needs at least one labeled sample"):
             train([])
 
     @pytest.mark.parametrize("augment", [False, True])
@@ -589,12 +589,12 @@ class TestTraining:
         def fails_in_step_three(raw, *args):
             calls.append(raw)
             if len(calls) > 2:
-                raise NotPositiveDefinite("KL predicted covariance is not positive definite")
+                raise NumericError("KL predicted covariance is not positive definite")
             return head_loss_and_grad(raw, *args)
 
         monkeypatch.setattr(model_mod, "head_loss_and_grad", fails_in_step_three)
         cfg = TrainConfig(steps=5, batch_size=2, seed=3, augment=False)
-        with pytest.raises(NotPositiveDefinite, match="^training step 3: KL predicted"):
+        with pytest.raises(NumericError, match="^training step 3: KL predicted"):
             train(tiny_samples(), cfg)
         # one kernel call per step, on the whole batch
         assert [r.shape for r in calls] == [(2, 21)] * 3
@@ -690,7 +690,7 @@ def ref_chol(mat, what):
     try:
         return np.linalg.cholesky(mat)
     except np.linalg.LinAlgError:
-        raise NotPositiveDefinite(f"{what} is not positive definite")
+        raise NumericError(f"{what} is not positive definite")
 
 
 def ref_head(raw, y_bar, alpha=0.1, beta=0.9, delta=1e-3):
