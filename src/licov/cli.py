@@ -39,7 +39,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=[],
         help="override a single configuration value",
     )
-    common.add_argument("--threads", type=int, default=1, help="worker thread cap")
+    common.add_argument("--threads", type=int, default=1, help="frames generate labels at once")
 
     parser = _Parser(prog="licov", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -152,13 +152,10 @@ def cmd_fuse(cfg: RunConfig, threads: int) -> int:
     trained = None
     if "predicted_cov" in modes:
         trained, _ = model_mod.load_model(cfg.paths.model)
+    truth = fusion_mod.Trajectory(list(frames), [seq.pose(k) for k in frames])
+    trajs = fusion_mod.run_fusion(seq, frames, cfg.fusion, model=trained, fixed_cov=fixed)
     out_dir = cfg.paths.out_dir
     os.makedirs(out_dir, exist_ok=True)
-
-    truth = fusion_mod.Trajectory(list(frames), [seq.pose(k) for k in frames])
-    trajs = fusion_mod.run_fusion(
-        seq, frames, cfg.fusion, model=trained, fixed_cov=fixed, workers=threads
-    )
     rows = []
     for mode in modes:
         traj = trajs[mode]

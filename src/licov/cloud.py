@@ -98,12 +98,11 @@ def load_kitti_scan(path) -> PointCloud:
     return PointCloud(pts)
 
 
-def save_kitti_scan(path, cloud: PointCloud, reflectance=0.0):
-    """Write a cloud in the binary scan layout (float32, 4 per record)."""
-    n = len(cloud)
-    data = np.empty((n, 4), dtype="<f4")
+def save_kitti_scan(path, cloud: PointCloud):
+    """Write a cloud in the binary scan layout (float32, 4 per record),
+    reflectance 0."""
+    data = np.zeros((len(cloud), 4), dtype="<f4")
     data[:, :3] = cloud.points
-    data[:, 3] = reflectance
     with open(path, "wb") as f:
         f.write(data.tobytes())
 
@@ -298,12 +297,12 @@ class NeighborIndex:
     def __len__(self):
         return len(self.cloud)
 
-    def query_batch(self, queries, k: int = 1, workers: int = 1):
+    def query_batch(self, queries, k: int = 1):
         """Vectorized queries -> (distances, ids), shaped (N,) for k = 1 and
         (N, k) nearest first otherwise. No tie canonicalization."""
         if self._tree is None:
             raise DataError("nearest-neighbor query against an empty index")
-        return self._tree.query(np.asarray(queries, dtype=float), k=k, workers=workers)
+        return self._tree.query(np.asarray(queries, dtype=float), k=k)
 
 
 def build_local_map(scans, poses, k: int, setup: MapSetup) -> PointCloud:

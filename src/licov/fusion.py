@@ -9,7 +9,6 @@ per-frame predicted covariances.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,7 +156,6 @@ def run_fusion(
     setup: FusionSetup = FusionSetup(),
     model=None,
     fixed_cov=None,
-    workers: int = 1,
     align=None,
 ) -> dict:
     """Track the sequence in each of setup's modes -> {mode: Trajectory}.
@@ -180,7 +178,7 @@ def run_fusion(
     if not frames:
         raise DataError("no frames to fuse")
     if align is None:
-        align = functools.partial(icp_point_to_plane, workers=workers)
+        align = icp_point_to_plane
 
     sig = setup.motion_sigmas()
     Q = np.diag(sig**2)

@@ -72,9 +72,8 @@ class _Matcher:
     the test at a, and a tie takes the id a k = 1 query gives.
     """
 
-    def __init__(self, index: NeighborIndex, n: int, workers: int):
+    def __init__(self, index: NeighborIndex, n: int):
         self._index = index
-        self._workers = workers
         self._map = index.cloud.points
         self._at = np.zeros((n, 3))
         self._bound = np.full(n, -np.inf)  # the first call queries every point
@@ -90,10 +89,10 @@ class _Matcher:
         moved = _norm(p - self._at)
         stale = np.flatnonzero(~((1.0 + _ROUNDING) * (d + moved) < self._bound))
         q = p.take(stale, axis=0)
-        dk, jk = self._index.query_batch(q, k=2, workers=self._workers)
+        dk, jk = self._index.query_batch(q, k=2)
         tie = dk[:, 0] == dk[:, 1]
         if tie.any():
-            jk[tie, 0] = self._index.query_batch(q[tie], workers=self._workers)[1]
+            jk[tie, 0] = self._index.query_batch(q[tie])[1]
         js = jk[:, 0]
         j[stale] = js
         self._at[stale] = q
@@ -120,7 +119,6 @@ def icp_point_to_plane(
     index: NeighborIndex,
     initial: se3.SE3,
     config: IcpConfig = IcpConfig(),
-    workers: int = 1,
 ) -> IcpResult:
     """Align source to the normal-equipped map `index.cloud`, starting from
     `initial`.
@@ -136,7 +134,7 @@ def icp_point_to_plane(
     gate = config.max_correspondence_distance
     src = source.points
 
-    match = _Matcher(index, len(src), workers)
+    match = _Matcher(index, len(src))
     jac_buf = np.empty((len(src), 6))
     estimate = initial
     converged = False

@@ -148,33 +148,20 @@ def _huber_half(y_hat, y_bar, delta):
     return hub, slope
 
 
-def _stack(mats) -> np.ndarray:
-    return np.asarray(mats, dtype=float).reshape(-1, 6, 6)
-
-
-def loss_kl(y_hat, y_bar):
-    """KL divergence of N(0, y_hat) from N(0, y_bar), the KL half of the
-    head kernel: a (6,6) pair gives a float, (B,6,6) stacks a (B,) array.
-    y_bar goes through regularize_label first."""
-    kl = _kl_half(_stack(y_hat), _stack(y_bar))[0]
-    return float(kl[0]) if np.ndim(y_hat) == 2 else kl
-
-
-def loss_huber(y_hat, y_bar, delta: float = 1e-3) -> float:
-    """Huber penalty over the 21 upper-triangle differences, the kernel's Huber half."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    return float(_huber_half(_stack(y_hat), _stack(y_bar), delta)[0][0])
+def loss_kl(y_hat, y_bar) -> np.ndarray:
+    """KL divergence of N(0, y_hat) from N(0, y_bar) per item of (B,6,6)
+    stacks, the KL half of the head kernel. y_bar goes through
+    regularize_label first."""
+    return _kl_half(np.asarray(y_hat, dtype=float), np.asarray(y_bar, dtype=float))[0]
 
 
 def head_loss_and_grad(raw, y_bar, alpha=0.1, beta=0.9, delta=1e-3, ref=None):
     """Combined loss at params_to_cov(raw) and its analytic 21-gradient:
-    raw (B,21) and labels (B,6,6) give (B,) losses and (B,21) gradients, a
-    (21,) raw and a (6,6) label a float and a (21,). `ref` is the labels'
-    regularized (Cholesky factors, inverses) when the caller has them."""
-    single = np.ndim(raw) == 1
-    raw = np.asarray(raw, dtype=float).reshape(-1, RAW_DIM)
-    y_bar = _stack(y_bar)
+    raw (B,21) and labels (B,6,6) give (B,) losses and (B,21) gradients.
+    `ref` is the labels' regularized (Cholesky factors, inverses) when the
+    caller has them."""
+    raw = np.asarray(raw, dtype=float)
+    y_bar = np.asarray(y_bar, dtype=float)
     c = params_to_chol(raw)
     y = _assemble_cov(c)
     kl, g_kl = _kl_half(y, y_bar, ref)
@@ -187,7 +174,7 @@ def head_loss_and_grad(raw, y_bar, alpha=0.1, beta=0.9, delta=1e-3, ref=None):
     grad = np.empty_like(raw)
     grad[:, :6] = np.diagonal(g_c, 0, 1, 2) * expit(raw[:, :6])
     grad[:, 6:] = g_c[:, _TRIL_I, _TRIL_J]
-    return (float(loss[0]), grad[0]) if single else (loss, grad)
+    return loss, grad
 
 
 @dataclass(frozen=True)
@@ -243,19 +230,24 @@ class RegressionModel:
             np.zeros((RAW_DIM, HIDDEN_DIM)), np.zeros(RAW_DIM),
         )
 
-    def forward(self, features) -> np.ndarray:
-        f = (np.asarray(features, dtype=float) - self.feat_mean) / self.feat_scale
-        h = np.tanh(self.w1 @ f + self.b1)
-        return self.w2 @ h + self.b2
+    def forward(self, features):
+        """(B,32) features -> (normalized features, hidden activations, raw
+        outputs), per item by the matrix-vector products of one sample."""
+        f_n = (np.asarray(features, dtype=float) - self.feat_mean) / self.feat_scale
+        h = np.tanh((self.w1 @ f_n[:, :, None])[:, :, 0] + self.b1)
+        return f_n, h, (self.w2 @ h[:, :, None])[:, :, 0] + self.b2
 
 
 def predict(model: RegressionModel, scan: PointCloud, normal_k: int = 10) -> np.ndarray:
     """Predicted 6x6 alignment-error covariance for one scan; normal_k must
     match the value the model was trained with."""
-    return params_to_cov(model.forward(extract_features(scan, normal_k)))
+    return params_to_cov(model.forward(extract_features(scan, normal_k)[None])[2][0])
 
 
 def _sampling_p(records):
+    """Draw probabilities of the records, weight per record = max
+    |covariance entry|; None (uniform) when every weight is zero. A
+    non-finite covariance raises NumericError naming the first such record."""
     if not records:
         raise DataError("cannot sample from an empty record set")
     w = np.array([np.abs(r.covariance).max() for r in records], dtype=float)
@@ -266,14 +258,6 @@ def _sampling_p(records):
             f"record {i} (frame {records[i].frame_id}): covariance has non-finite entries")
     total = w.sum()
     return None if total <= 0 else w / total
-
-
-def weighted_sample(records, batch_size: int, rng) -> list:
-    """Draw with replacement, weight per record = max |covariance entry|;
-    uniform when every weight is zero. A non-finite covariance raises
-    NumericError naming the first such record."""
-    idx = rng.choice(len(records), size=batch_size, replace=True, p=_sampling_p(records))
-    return [records[i] for i in idx]
 
 
 def augment_sample(scan: PointCloud, cov, rng, xy_range: float = 2.0,
@@ -353,10 +337,7 @@ def train(samples, config: TrainConfig = TrainConfig(), normal_k: int = 10,
             else:
                 f, y_bar = feats[idx], labels[idx]
                 ref = None if refs is None else (refs[0][idx], refs[1][idx])
-            # per-item matrix-vector products, the BLAS calls of one sample
-            f_n = (f - model.feat_mean) / model.feat_scale
-            h = np.tanh((model.w1 @ f_n[:, :, None])[:, :, 0] + model.b1)
-            raw = (model.w2 @ h[:, :, None])[:, :, 0] + model.b2
+            f_n, h, raw = model.forward(f)
             try:
                 loss, g_raw = head_loss_and_grad(
                     raw, y_bar, config.alpha, config.beta, config.huber_delta, ref

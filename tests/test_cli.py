@@ -253,6 +253,7 @@ class TestDataErrors:
                          "--set", f"paths.out_dir={tmp_path / 'out'}"]) == 2
         assert capsys.readouterr().err == (
             f"data error: frame {frame}: local map has 2 points, too few for normals (need 4)\n")
+        assert not (tmp_path / "out").exists()
 
     # one non-numeric value per field kind: (line, comma-separated column, text)
     @pytest.mark.parametrize("line, column, text", [
@@ -533,7 +534,8 @@ class TestTrainEval:
         _, recs = read_dataset("train_ds.csv")
         seq = make_synthetic_scene("room", density=4, n_frames=4, seed=11)
         scans = [voxel_downsample(seq.scan(r.frame_id), 0.3) for r in recs]
-        preds = [params_to_cov(trained.forward(extract_features(s, 6))) for s in scans]
+        preds = [params_to_cov(trained.forward(extract_features(s, 6)[None])[2][0])
+                 for s in scans]
         expected = metrics.report_text(metrics.evaluate(preds, [r.covariance for r in recs]))
         default_k = [predict(trained, s) for s in scans]
         assert not np.allclose(preds, default_k, rtol=0, atol=1e-12)

@@ -21,7 +21,7 @@ FUSE_PRIOR = np.r_[0.02, 0.02, 0.02, np.deg2rad([0.2, 0.2, 0.2])]
 SETUP = MapSetup(1, 1, scan_voxel=0.2)
 
 
-def ref_icp(source, target, initial, config=IcpConfig(), index=None, workers=1):
+def ref_icp(source, target, initial, config=IcpConfig(), index=None):
     """Point-to-plane ICP with a full nearest-neighbour query in every
     iteration and for the final RMSE: the answer the cache must reproduce."""
     index = NeighborIndex(target) if index is None else index
@@ -29,7 +29,7 @@ def ref_icp(source, target, initial, config=IcpConfig(), index=None, workers=1):
     src, tgt, nrm = source.points, target.points, target.normals
 
     def correspondences(p):
-        d, j = index.query_batch(p, workers=workers)
+        d, j = index.query_batch(p)
         mask = d <= gate
         if not mask.any():
             raise NoCorrespondences("correspondence gate rejected every candidate pair")
@@ -233,9 +233,8 @@ class TestCachedCorrespondences:
         rng = np.random.default_rng([frame[1], len(prior)])
         for run in range(3):
             start = se3.exp(rng.normal(size=6) * sigma) @ pose
-            workers = 1 + run % 2
-            got = icp_point_to_plane(scan, index, start, workers=workers)
-            want = ref_icp(scan, local_map, start, index=index, workers=workers)
+            got = icp_point_to_plane(scan, index, start)
+            want = ref_icp(scan, local_map, start, index=index)
             assert result_bytes(got) == result_bytes(want)
 
     def test_points_beyond_the_gate(self, room_map, monkeypatch):
@@ -279,9 +278,9 @@ class TestCachedCorrespondences:
         queried = []
         query = NeighborIndex.query_batch
 
-        def spy(self, queries, k=1, workers=1):
+        def spy(self, queries, k=1):
             queried.append(len(queries))
-            return query(self, queries, k=k, workers=workers)
+            return query(self, queries, k=k)
 
         monkeypatch.setattr(NeighborIndex, "query_batch", spy)
         start = se3.exp(FUSE_PRIOR) @ pose
@@ -300,10 +299,10 @@ class TestCachedCorrespondences:
             positions.append(p.copy())
             return call(self, p)
 
-        def query_spy(self, queries, k=1, workers=1):
+        def query_spy(self, queries, k=1):
             if k == 2:
                 queried.append(len(queries))
-            return query(self, queries, k=k, workers=workers)
+            return query(self, queries, k=k)
 
         monkeypatch.setattr(_Matcher, "__call__", call_spy)
         monkeypatch.setattr(NeighborIndex, "query_batch", query_spy)
@@ -332,14 +331,14 @@ def half_gap_queries(index, positions):
     return counts
 
 
-def assert_matches_full_query(index, points, moves, workers=1):
+def assert_matches_full_query(index, points, moves):
     """Move points step by step; each answer must be a full query's bits,
     and the offsets those of the points from their matched map points."""
-    match = _Matcher(index, len(points), workers)
+    match = _Matcher(index, len(points))
     for step in moves:
         points = points + step
         d, j, off = match(points)
-        d_ref, j_ref = index.query_batch(points, workers=workers)
+        d_ref, j_ref = index.query_batch(points)
         assert d.tobytes() == d_ref.tobytes()
         assert j.tobytes() == j_ref.astype(j.dtype).tobytes()
         assert off.tobytes() == (points - index.cloud.points[j]).tobytes()
@@ -361,13 +360,12 @@ class TestMatcher:
         moves = [0.0, *rng.normal(size=(4, 50, 3))]
         assert_matches_full_query(index, rng.normal(size=(50, 3)), moves)
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_random_cloud_and_far_points(self, workers):
+    def test_random_cloud_and_far_points(self):
         rng = np.random.default_rng(5)
         index = NeighborIndex(PointCloud(rng.uniform(-5, 5, (300, 3))))
         points = np.vstack([rng.uniform(-5, 5, (400, 3)), rng.uniform(40, 60, (20, 3))])
         moves = [0.0] + [s * rng.normal(size=(420, 3)) for s in (1e-3, 1e-2, 0.3) for _ in range(6)]
-        assert_matches_full_query(index, points, moves, workers)
+        assert_matches_full_query(index, points, moves)
 
     @seed(20251018)
     @settings(max_examples=30, deadline=None, derandomize=True)

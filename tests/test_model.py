@@ -15,12 +15,13 @@ from licov.model import (
     DIAG_FLOOR,
     RegressionModel,
     TrainConfig,
+    _huber_half,
+    _sampling_p,
     augment_sample,
     cov_to_params,
     head_loss_and_grad,
     inv_softplus,
     load_model,
-    loss_huber,
     loss_kl,
     params_to_chol,
     params_to_cov,
@@ -29,13 +30,31 @@ from licov.model import (
     save_model,
     softplus,
     train,
-    weighted_sample,
 )
 
 from conftest import random_spd
 
 # closed form for KL(N(0, 2I) || N(0, I)) in six dimensions
 KL_2I_I = 3.0 * (2.0 - 1.0 - np.log(2.0))
+
+
+# The kernel takes stacks; these run one item as a stack of one.
+def kl1(y_hat, y_bar):
+    return loss_kl(np.asarray(y_hat)[None], np.asarray(y_bar)[None])[0]
+
+
+def huber1(y_hat, y_bar, delta=1e-3):
+    return _huber_half(y_hat[None], y_bar[None], delta)[0][0]
+
+
+def head1(raw, y_bar, **weights):
+    loss, grad = head_loss_and_grad(np.asarray(raw)[None], np.asarray(y_bar)[None], **weights)
+    return loss[0], grad[0]
+
+
+def draw(records, size, rng):
+    """Record indices drawn as train draws a batch."""
+    return rng.choice(len(records), size=size, replace=True, p=_sampling_p(records))
 
 
 def make_record(frame_id, covariance):
@@ -103,58 +122,58 @@ class TestKl:
     def test_zero_at_equality(self):
         rng = np.random.default_rng(3)
         y = random_spd(rng)
-        assert abs(loss_kl(y, y)) < 1e-10
+        assert abs(kl1(y, y)) < 1e-10
 
     def test_closed_form_doubled_identity(self):
-        val = loss_kl(2.0 * np.eye(6), np.eye(6))
+        val = kl1(2.0 * np.eye(6), np.eye(6))
         assert abs(val - KL_2I_I) < 1e-12
         assert abs(val - 0.9205584583201638) < 1e-12
 
     def test_non_negative(self):
         rng = np.random.default_rng(4)
         for _ in range(50):
-            assert loss_kl(random_spd(rng), random_spd(rng)) > -1e-12
+            assert kl1(random_spd(rng), random_spd(rng)) > -1e-12
 
     def test_asymmetric(self):
         a = np.diag([2.0, 1, 1, 1, 1, 1.0])
         b = np.eye(6)
-        assert abs(loss_kl(a, b) - loss_kl(b, a)) > 1e-3
+        assert abs(kl1(a, b) - kl1(b, a)) > 1e-3
 
     def test_congruence_invariance(self):
         rng = np.random.default_rng(5)
         y, ref = random_spd(rng), random_spd(rng)
         a = rng.normal(size=(6, 6)) + 3.0 * np.eye(6)
-        lhs = loss_kl(a @ y @ a.T, a @ ref @ a.T)
-        assert abs(lhs - loss_kl(y, ref)) < 1e-8
+        lhs = kl1(a @ y @ a.T, a @ ref @ a.T)
+        assert abs(lhs - kl1(y, ref)) < 1e-8
 
     def test_singular_prediction_rejected(self):
         with pytest.raises(NumericError, match="KL predicted covariance is not positive definite"):
-            loss_kl(np.diag([1.0, 1, 1, 1, 1, 0.0]), np.eye(6))
+            kl1(np.diag([1.0, 1, 1, 1, 1, 0.0]), np.eye(6))
 
     def test_non_finite_matrix_is_a_numeric_error(self):
         for bad in (np.diag(np.full(6, np.inf)), np.full((6, 6), np.nan)):
             with pytest.raises(NumericError, match="non-finite"):
-                loss_kl(bad, np.eye(6))
+                kl1(bad, np.eye(6))
             with pytest.raises(NumericError, match="non-finite"):
-                loss_kl(np.eye(6), bad)
+                kl1(np.eye(6), bad)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_label_is_a_numeric_error_when_regularized(self, bad):
         label = np.eye(6)
         label[1, 4] = label[4, 1] = bad
         with pytest.raises(NumericError, match="KL reference covariance has non-finite"):
-            loss_kl(np.eye(6), label)
+            kl1(np.eye(6), label)
         with pytest.raises(NumericError, match="KL reference covariance has non-finite"):
-            head_loss_and_grad(np.zeros(21), label)
+            head1(np.zeros(21), label)
         with pytest.raises(NumericError, match="KL reference covariance has non-finite"):
             head_loss_and_grad(np.zeros((3, 21)), np.stack([np.eye(6), np.eye(6), label]))
 
     def test_singular_label_regularized_or_rejected(self):
         singular = np.zeros((6, 6))
-        assert np.isfinite(loss_kl(np.eye(6), singular))
+        assert np.isfinite(kl1(np.eye(6), singular))
         # the shift only lifts eigenvalues near zero: an indefinite label stays unusable
         with pytest.raises(NumericError, match="KL reference covariance is not positive definite"):
-            loss_kl(np.eye(6), np.diag([1.0, 1, 1, 1, 1, -1]))
+            kl1(np.eye(6), np.diag([1.0, 1, 1, 1, 1, -1]))
 
     def test_regularize_label(self):
         ok = np.eye(6)
@@ -172,37 +191,39 @@ class TestHuber:
         return y, np.eye(6)
 
     def test_zero(self):
-        assert loss_huber(np.eye(6), np.eye(6)) == 0.0
+        assert huber1(np.eye(6), np.eye(6)) == 0.0
 
     def test_quadratic_branch_boundary(self):
         y, ref = self._pair(1e-3)
-        assert abs(loss_huber(y, ref) - 0.5e-6) < 1e-18
+        assert abs(huber1(y, ref) - 0.5e-6) < 1e-18
 
     def test_linear_branch(self):
         y, ref = self._pair(3e-3)
-        assert abs(loss_huber(y, ref) - 2.5e-6) < 1e-18
+        assert abs(huber1(y, ref) - 2.5e-6) < 1e-18
 
     def test_off_diagonal_counted_once(self):
         y, ref = self._pair(0.01, slot=(0, 1))
         expected = 1e-3 * (0.01 - 0.5e-3)
-        assert abs(loss_huber(y, ref) - expected) < 1e-15
+        assert abs(huber1(y, ref) - expected) < 1e-15
 
     def test_slope_continuous_at_threshold(self):
         h = 1e-9
-        up = (loss_huber(*self._pair(1e-3 + h)) - loss_huber(*self._pair(1e-3))) / h
-        dn = (loss_huber(*self._pair(1e-3)) - loss_huber(*self._pair(1e-3 - h))) / h
+        up = (huber1(*self._pair(1e-3 + h)) - huber1(*self._pair(1e-3))) / h
+        dn = (huber1(*self._pair(1e-3)) - huber1(*self._pair(1e-3 - h))) / h
         assert abs(up - dn) < 1e-8
 
     def test_bad_delta(self):
-        with pytest.raises(ValueError):
-            loss_huber(np.eye(6), np.eye(6), delta=0.0)
+        # the kernel trusts delta; a non-positive one is refused at config
+        for delta in (0.0, -1e-3):
+            with pytest.raises(ValueError, match="huber_delta"):
+                TrainConfig(huber_delta=delta)
 
 
 class TestCombined:
     # The training loss is head_loss_and_grad's value: alpha * KL on the
     # regularized label plus beta * Huber on the raw label.
     def test_pinned_value(self):
-        val, _ = head_loss_and_grad(cov_to_params(2.0 * np.eye(6)), np.eye(6))
+        val, _ = head1(cov_to_params(2.0 * np.eye(6)), np.eye(6))
         expected = 0.1 * KL_2I_I + 0.9 * 6.0 * 1e-3 * (1.0 - 0.5e-3)
         assert abs(expected - 0.09745314583201638) < 1e-15
         assert abs(val - expected) < 1e-12
@@ -211,10 +232,10 @@ class TestCombined:
         rng = np.random.default_rng(6)
         raw, ref = rng.normal(size=21), random_spd(rng)
         y = params_to_cov(raw)
-        hub, _ = head_loss_and_grad(raw, ref, alpha=0.0, beta=1.0)
-        kl, _ = head_loss_and_grad(raw, ref, alpha=1.0, beta=0.0)
-        assert abs(hub - loss_huber(y, ref)) < 1e-15
-        assert abs(kl - loss_kl(y, ref)) < 1e-12
+        hub, _ = head1(raw, ref, alpha=0.0, beta=1.0)
+        kl, _ = head1(raw, ref, alpha=1.0, beta=0.0)
+        assert abs(hub - huber1(y, ref)) < 1e-15
+        assert abs(kl - kl1(y, ref)) < 1e-12
 
     def test_overflowing_head_is_a_numeric_error(self):
         # off-diagonal Cholesky entries this large overflow C C^T to inf
@@ -222,14 +243,14 @@ class TestCombined:
         raw[6:] = 1e200
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericError, match="non-finite"):
-                head_loss_and_grad(raw, np.eye(6))
+                head1(raw, np.eye(6))
 
     def test_huber_sees_raw_label_kl_sees_regularized(self):
         raw = np.zeros(21)
         y = params_to_cov(raw)
         singular = np.zeros((6, 6))
-        val, _ = head_loss_and_grad(raw, singular)
-        expected = 0.1 * loss_kl(y, singular) + 0.9 * loss_huber(y, singular)
+        val, _ = head1(raw, singular)
+        expected = 0.1 * kl1(y, singular) + 0.9 * huber1(y, singular)
         assert np.isfinite(val)
         assert abs(val - expected) < 1e-10
 
@@ -254,17 +275,17 @@ class TestAnalyticGradient:
         for _ in range(20):
             raw = rng.normal(size=21)
             label = random_spd(rng, scale=0.2)
-            _, grad = head_loss_and_grad(raw, label)
-            fd = central_fd(lambda r: head_loss_and_grad(r, label)[0], raw)
+            _, grad = head1(raw, label)
+            fd = central_fd(lambda r: head1(r, label)[0], raw)
             assert np.max(rel_err(grad, fd)) < 1e-4
 
     def test_head_gradient_alpha_beta_split(self):
         rng = np.random.default_rng(8)
         raw = rng.normal(size=21)
         label = random_spd(rng, scale=0.2)
-        _, g_kl = head_loss_and_grad(raw, label, alpha=1.0, beta=0.0)
-        _, g_hub = head_loss_and_grad(raw, label, alpha=0.0, beta=1.0)
-        _, g_mix = head_loss_and_grad(raw, label, alpha=0.1, beta=0.9)
+        _, g_kl = head1(raw, label, alpha=1.0, beta=0.0)
+        _, g_hub = head1(raw, label, alpha=0.0, beta=1.0)
+        _, g_mix = head1(raw, label, alpha=0.1, beta=0.9)
         assert np.allclose(g_mix, 0.1 * g_kl + 0.9 * g_hub, atol=1e-12)
 
     def test_network_gradient_matches_finite_differences(self):
@@ -290,7 +311,7 @@ class TestAnalyticGradient:
 
         def loss_at(w1, b1, w2, b2):
             raw = w2 @ np.tanh(w1 @ f_n + b1) + b2
-            return head_loss_and_grad(raw, label)[0]
+            return head1(raw, label)[0]
 
         rng = np.random.default_rng(11)
         for name in ("w1", "w2"):
@@ -341,11 +362,8 @@ class TestAnalyticGradient:
         assert np.max(np.abs(got["w2"])) > 0.0
 
         # replay the first batch from the (seed, 1) sampling substream
-        batch = weighted_sample(
-            [r for r, _ in samples], 3,
-            np.random.default_rng(np.random.SeedSequence((9, 1))),
-        )
-        idx = [r.frame_id for r in batch]
+        idx = draw([r for r, _ in samples], 3,
+                   np.random.default_rng(np.random.SeedSequence((9, 1))))
         from licov.features import extract_features, with_normals
 
         f_ns = [
@@ -356,7 +374,7 @@ class TestAnalyticGradient:
             tot = 0.0
             for i in idx:
                 raw = w2 @ np.tanh(w1 @ f_ns[i] + b1) + b2
-                tot += head_loss_and_grad(raw, labels[i])[0]
+                tot += head1(raw, labels[i])[0]
             return tot / len(idx)
 
         pick = np.random.default_rng(12)
@@ -393,7 +411,7 @@ class TestModelForward:
         model.feat_scale = np.full(32, 2.0)
         model.w2 = np.ones((21, 64)) * 0.01
         model.w1 = np.ones((64, 32)) * 0.01
-        raw_a = model.forward(np.full(32, 5.0))  # normalizes to zero
+        raw_a = model.forward(np.full((1, 32), 5.0))[2][0]  # normalizes to zero
         assert np.allclose(raw_a, model.b2)
 
     def test_bad_scale_rejected(self):
@@ -417,24 +435,25 @@ class TestModelForward:
 class TestWeightedSampling:
     def test_single_record(self):
         rec = make_record(0, np.eye(6))
-        out = weighted_sample([rec], 5, np.random.default_rng(0))
-        assert all(r is rec for r in out)
+        assert _sampling_p([rec]) == [1.0]
+        assert list(draw([rec], 5, np.random.default_rng(0))) == [0] * 5
 
     def test_one_to_three_weighting(self):
         recs = [make_record(0, np.eye(6)), make_record(1, 3.0 * np.eye(6))]
-        out = weighted_sample(recs, 100000, np.random.default_rng(1))
-        frac = np.mean([r.frame_id for r in out])
+        out = draw(recs, 100000, np.random.default_rng(1))
+        frac = np.mean([recs[i].frame_id for i in out])
         assert abs(frac - 0.75) < 0.01
 
     def test_zero_weights_fall_back_to_uniform(self):
         recs = [make_record(0, np.zeros((6, 6))), make_record(1, np.zeros((6, 6)))]
-        out = weighted_sample(recs, 100000, np.random.default_rng(2))
-        frac = np.mean([r.frame_id for r in out])
+        assert _sampling_p(recs) is None
+        out = draw(recs, 100000, np.random.default_rng(2))
+        frac = np.mean([recs[i].frame_id for i in out])
         assert abs(frac - 0.5) < 0.01
 
     def test_empty_rejected(self):
         with pytest.raises(DataError, match="cannot sample from an empty record set"):
-            weighted_sample([], 4, np.random.default_rng(0))
+            _sampling_p([])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_covariance_names_the_record(self, bad):
@@ -442,7 +461,7 @@ class TestWeightedSampling:
         cov[2, 3] = bad
         recs = [make_record(4, np.eye(6)), make_record(9, cov), make_record(5, cov)]
         with pytest.raises(NumericError, match=r"^record 1 \(frame 9\): covariance has non-finite"):
-            weighted_sample(recs, 4, np.random.default_rng(0))
+            _sampling_p(recs)
 
 
 class TestAugmentation:
@@ -629,8 +648,8 @@ class TestTraining:
         model, losses = train(samples, cfg)
         from licov.features import extract_features, with_normals
 
-        y = params_to_cov(model.forward(extract_features(scan)))
-        assert abs(losses[0] - (0.1 * loss_kl(y, cov) + 0.9 * loss_huber(y, cov))) < 1e-12
+        y = params_to_cov(model.forward(extract_features(scan)[None])[2][0])
+        assert abs(losses[0] - (0.1 * kl1(y, cov) + 0.9 * huber1(y, cov))) < 1e-12
 
 
 class TestModelIO:
@@ -727,6 +746,12 @@ def ref_head(raw, y_bar, alpha=0.1, beta=0.9, delta=1e-3):
     return loss, grad
 
 
+def ref_forward(model, f):
+    f_n = (f - model.feat_mean) / model.feat_scale
+    h = np.tanh(model.w1 @ f_n + model.b1)
+    return f_n, h, model.w2 @ h + model.b2
+
+
 def ref_train(samples, config, normal_k=10):
     records = [rec for rec, _ in samples]
     scans = [with_normals(scan, normal_k) for _, scan in samples]
@@ -759,9 +784,7 @@ def ref_train(samples, config, normal_k=10):
                     f, label = base_feats[i], records[i].covariance
                 if config.label_floor > 0.0:
                     label = label + config.label_floor * np.eye(6)
-                f_n = (f - model.feat_mean) / model.feat_scale
-                h = np.tanh(model.w1 @ f_n + model.b1)
-                raw = model.w2 @ h + model.b2
+                f_n, h, raw = ref_forward(model, f)
                 try:
                     loss, g_raw = ref_head(raw, label, config.alpha, config.beta,
                                            config.huber_delta)
@@ -817,6 +840,26 @@ def assert_same_training(samples, cfg):
 
 
 class TestBatchedStepIsExact:
+    @pytest.mark.parametrize("scale", [0.1, 1.0, 10.0, 100.0])
+    @pytest.mark.parametrize("batch_size", [1, 3, 16])
+    def test_forward_matches_per_sample_reference(self, batch_size, scale):
+        # each row of a batch gets the bytes of a one-sample pass, and
+        # predict those of a one-scan pass
+        rng = np.random.default_rng([batch_size, int(scale * 10)])
+        feats = rng.normal(scale=scale, size=(batch_size, 32))
+        model = RegressionModel(
+            rng.normal(scale=scale, size=32), scale * rng.uniform(0.5, 2.0, 32),
+            rng.normal(scale=0.5, size=(64, 32)), rng.normal(scale=0.5, size=64),
+            rng.normal(scale=0.5, size=(21, 64)), rng.normal(scale=0.5, size=21),
+        )
+        got = model.forward(feats)
+        for b in range(batch_size):
+            for part, want in zip(got, ref_forward(model, feats[b])):
+                assert np.array_equal(part[b], want)
+        scan = make_scan(60 + batch_size)
+        want = params_to_cov(ref_forward(model, extract_features(scan))[2])
+        assert np.array_equal(predict(model, scan), want)
+
     @pytest.mark.parametrize("batch_size", [1, 3, 16])
     @pytest.mark.parametrize("label_floor", [0.0, 1e-4])
     @pytest.mark.parametrize("augment", [False, True])
@@ -849,9 +892,6 @@ class TestBatchedStepIsExact:
                 ref_loss, ref_grad = ref_head(raw[b], labels[b], 0.3, 0.7, 2e-3)
                 assert loss[b] == ref_loss
                 assert np.array_equal(grad[b], ref_grad)
-                one_loss, one_grad = head_loss_and_grad(raw[b], labels[b], 0.3, 0.7, 2e-3)
-                assert type(one_loss) is float and one_loss == ref_loss
-                assert np.array_equal(one_grad, ref_grad)
 
     def test_kernel_raises_the_first_failure(self):
         good, raw = 1e-2 * np.eye(6), np.zeros(21)
@@ -899,6 +939,5 @@ class TestBatchedStepIsExact:
         kernel_kl, _ = head_loss_and_grad(raw, labels, alpha=1.0, beta=0.0)
         assert np.array_equal(kls, kernel_kl)
         for b in range(6):
-            assert loss_kl(preds[b], labels[b]) == kls[b]
-            assert loss_huber(preds[b], labels[b]) == head_loss_and_grad(
-                raw[b], labels[b], alpha=0.0, beta=1.0)[0]
+            assert kl1(preds[b], labels[b]) == kls[b]
+            assert huber1(preds[b], labels[b]) == head1(raw[b], labels[b], alpha=0.0, beta=1.0)[0]
