@@ -6,12 +6,21 @@ comparison), synth (materialize a synthetic sequence on disk).
 
 Exit codes: 0 success, 1 usage/configuration error, 2 data error,
 3 numeric failure.
+
+--threads is the one thread budget of every command; BLAS is pinned to
+one thread, since every product licov makes is too small to gain from
+more (a value already set in the environment wins).
 """
 from __future__ import annotations
 
 import argparse
 import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
+
+# Before numpy loads BLAS; licov/__init__.py imports no numpy.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 import numpy as np
 
@@ -21,6 +30,14 @@ from .cloud import save_kitti_poses, save_kitti_scan
 from .config import RunConfig
 from .errors import ConfigError, DataError, NumericError
 from .sequences import parse_frames
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: the default thread budget."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 class _Parser(argparse.ArgumentParser):
@@ -39,7 +56,13 @@ def build_parser() -> argparse.ArgumentParser:
         default=[],
         help="override a single configuration value",
     )
-    common.add_argument("--threads", type=int, default=1, help="frames generate labels at once")
+    common.add_argument(
+        "--threads",
+        type=int,
+        default=_usable_cpus(),
+        help="worker threads: frames for generate, records for train and eval, "
+        "frames and modes for fuse; outputs do not depend on it (default: usable CPUs)",
+    )
 
     parser = _Parser(prog="licov", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -92,27 +115,32 @@ def cmd_generate(cfg: RunConfig, threads: int) -> int:
     return 0
 
 
-def _dataset_samples(cfg: RunConfig):
+def _dataset_samples(cfg: RunConfig, threads: int):
+    """-> (records, [(record, filtered scan)]); the scans are read on
+    `threads` workers, and the first fault in record order is raised."""
     seq = cfg.sequence.open()
     _, records = mcgen.read_dataset(cfg.paths.dataset)
-    samples = []
-    for rec in records:
+
+    def scan(rec):
         if not 0 <= rec.frame_id < len(seq):
             raise DataError(f"dataset frame {rec.frame_id} outside the sequence")
-        samples.append((rec, cfg.map.scan(seq, rec.frame_id)))
-    return records, samples
+        return cfg.map.scan(seq, rec.frame_id)
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        scans = list(pool.map(scan, records))
+    return records, list(zip(records, scans))
 
 
 def cmd_train(cfg: RunConfig, threads: int) -> int:
     tc = cfg.train
-    _, samples = _dataset_samples(cfg)
+    _, samples = _dataset_samples(cfg, threads)
 
     def progress(step, loss):
         if (step + 1) % max(1, tc.steps // 10) == 0:
             print(f"step {step + 1}/{tc.steps}: loss {loss:.6g}")
 
     trained, losses = model_mod.train(
-        samples, tc, normal_k=cfg.map.normal_k, progress=progress
+        samples, tc, normal_k=cfg.map.normal_k, progress=progress, threads=threads
     )
     out = cfg.paths.model
     model_mod.save_model(out, trained, tc, extra=cfg.echo())
@@ -126,9 +154,11 @@ def cmd_train(cfg: RunConfig, threads: int) -> int:
 
 
 def cmd_eval(cfg: RunConfig, threads: int) -> int:
-    records, samples = _dataset_samples(cfg)
+    records, samples = _dataset_samples(cfg, threads)
     trained, _ = model_mod.load_model(cfg.paths.model)
-    predictions = [model_mod.predict(trained, scan, cfg.map.normal_k) for _, scan in samples]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        predictions = list(pool.map(
+            lambda sample: model_mod.predict(trained, sample[1], cfg.map.normal_k), samples))
     labels = [rec.covariance for rec in records]
     report = metrics.evaluate(predictions, labels)
     out = cfg.paths.report
@@ -153,7 +183,8 @@ def cmd_fuse(cfg: RunConfig, threads: int) -> int:
     if "predicted_cov" in modes:
         trained, _ = model_mod.load_model(cfg.paths.model)
     truth = fusion_mod.Trajectory(list(frames), [seq.pose(k) for k in frames])
-    trajs = fusion_mod.run_fusion(seq, frames, cfg.fusion, model=trained, fixed_cov=fixed)
+    trajs = fusion_mod.run_fusion(seq, frames, cfg.fusion, model=trained, fixed_cov=fixed,
+                                  threads=threads)
     out_dir = cfg.paths.out_dir
     os.makedirs(out_dir, exist_ok=True)
     rows = []

@@ -23,7 +23,7 @@ import hashlib
 import numpy as np
 
 from .cloud import PointCloud, estimate_normals
-from .errors import DataError
+from .errors import DataError, NumericError
 
 FEATURE_DIM = 32
 
@@ -122,5 +122,5 @@ def extract_features(cloud: PointCloud, normal_k: int = 10) -> np.ndarray:
     out[30] = r.var()
     out[31] = r_max
     if not np.isfinite(out).all():
-        raise ValueError("non-finite feature encountered")
+        raise NumericError("non-finite feature encountered")
     return out

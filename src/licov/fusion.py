@@ -9,7 +9,10 @@ per-frame predicted covariances.
 """
 from __future__ import annotations
 
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -157,6 +160,7 @@ def run_fusion(
     model=None,
     fixed_cov=None,
     align=None,
+    threads: int = 1,
 ) -> dict:
     """Track the sequence in each of setup's modes -> {mode: Trajectory}.
 
@@ -168,6 +172,13 @@ def run_fusion(
     prepared once and shared by all modes. `align` may replace the ICP call
     (source, index, initial, cfg -> object with .estimate); it is called
     once per frame and mode.
+
+    The work runs on one pool of `threads` workers. The next `threads`
+    frames are prepared ahead (map, scan filter and, for predicted_cov,
+    the prediction) while a frame's modes align at the same time; EKF
+    updates are applied in mode order. The result does not depend on
+    `threads`, and the first fault raised is the one a frame-by-frame,
+    mode-by-mode loop raises; the work not yet started is then cancelled.
     """
     modes = setup.mode_names
     if "predicted_cov" in modes and model is None:
@@ -180,31 +191,54 @@ def run_fusion(
     if align is None:
         align = icp_point_to_plane
 
+    def prepare(k):
+        scan, index = setup.map.frame(sequence, k)
+        if "predicted_cov" not in modes:
+            return scan, index, None
+        try:
+            return scan, index, predict(model, scan, setup.map.normal_k)
+        except Exception as e:  # raised where predicted_cov's update needs it
+            return scan, index, e
+
+    def step(state, motion, scan, index):
+        state = ekf_predict(state, motion)
+        return state, align(scan, index, state.pose, setup.icp)
+
     sig = setup.motion_sigmas()
     Q = np.diag(sig**2)
     start = FusionState(sequence.pose(frames[0]), setup.init_cov * np.eye(6))
     states = dict.fromkeys(modes, start)
     out = {mode: [start.pose] for mode in modes}
     prev_truth = start.pose
-    for k in frames[1:]:
-        truth = sequence.pose(k)
-        delta_true = se3.inverse(prev_truth) @ truth
-        rng = np.random.default_rng(np.random.SeedSequence((setup.seed, k)))
-        eta = rng.normal(0.0, 1.0, 6) * sig
-        motion = MotionInput(delta_true @ se3.exp(eta), Q)
+    todo = iter(frames[1:])
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        try:
+            ahead = deque(pool.submit(prepare, k) for k in islice(todo, threads))
+            for k in frames[1:]:
+                truth = sequence.pose(k)
+                delta_true = se3.inverse(prev_truth) @ truth
+                rng = np.random.default_rng(np.random.SeedSequence((setup.seed, k)))
+                eta = rng.normal(0.0, 1.0, 6) * sig
+                motion = MotionInput(delta_true @ se3.exp(eta), Q)
 
-        scan, index = setup.map.frame(sequence, k)
-        for mode in modes:
-            state = ekf_predict(states[mode], motion)
-            result = align(scan, index, state.pose, setup.icp)
-            if mode == "icp_only":
-                state = FusionState(result.estimate, state.covariance)
-            else:
-                R = fixed_cov if mode == "fixed_cov" else predict(model, scan, setup.map.normal_k)
-                state = ekf_update(state, result.estimate, R)
-            states[mode] = state
-            out[mode].append(state.pose)
-        prev_truth = truth
+                scan, index, predicted = ahead.popleft().result()
+                steps = [pool.submit(step, states[mode], motion, scan, index) for mode in modes]
+                ahead.extend(pool.submit(prepare, j) for j in islice(todo, 1))
+                for mode, future in zip(modes, steps):
+                    state, result = future.result()
+                    if mode == "icp_only":
+                        state = FusionState(result.estimate, state.covariance)
+                    else:
+                        R = fixed_cov if mode == "fixed_cov" else predicted
+                        if isinstance(R, Exception):
+                            raise R
+                        state = ekf_update(state, result.estimate, R)
+                    states[mode] = state
+                    out[mode].append(state.pose)
+                prev_truth = truth
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
     return {mode: Trajectory(list(frames), poses) for mode, poses in out.items()}
 
 

@@ -10,6 +10,7 @@ autodiff involved.
 """
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -273,23 +274,31 @@ def augment_sample(scan: PointCloud, cov, rng, xy_range: float = 2.0,
 
 
 def train(samples, config: TrainConfig = TrainConfig(), normal_k: int = 10,
-          progress=None):
+          progress=None, threads: int = 1):
     """Fit the regressor on (CovRecord, scan) pairs.
 
     Returns (model, loss_trace). Deterministic for a fixed config seed;
     weight init, batch sampling, and augmentation each get their own
     substream so turning augmentation off (or zeroing its ranges) leaves
-    the sampled batches unchanged. Scan normals are estimated once up
-    front so augmented feature extraction only rotates them. Each step
-    runs its batch through the network and one head kernel call, with
-    sums in sample order: the bytes of a sample-at-a-time loop.
+    the sampled batches unchanged. Scan normals and features are computed
+    once up front, record by record on `threads` workers (the first fault
+    in record order is raised), so augmented feature extraction only
+    rotates the normals. Each step runs its batch through the network and
+    one head kernel call, with sums in sample order: the bytes of a
+    sample-at-a-time loop.
     """
     if not samples:
         raise DataError("training needs at least one labeled sample")
     records = [rec for rec, _ in samples]
     p = _sampling_p(records)
-    scans = [with_normals(scan, normal_k) for _, scan in samples]
-    feats = np.asarray([extract_features(s, normal_k) for s in scans])
+
+    def prepare(sample):
+        scan = with_normals(sample[1], normal_k)
+        return scan, extract_features(scan, normal_k)
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        scans, feats = zip(*pool.map(prepare, samples))
+    feats = np.asarray(feats)
     feat_mean = feats.mean(axis=0)
     feat_scale = feats.std(axis=0)
     feat_scale[feat_scale < 1e-12] = 1.0

@@ -1,6 +1,9 @@
 """End-to-end command-line coverage for every subcommand and exit code."""
+import hashlib
 import os
 import shutil
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -128,6 +131,23 @@ class TestUsageErrors:
 
     def test_bad_threads(self):
         assert cli.main(["generate", "--threads", "0"]) == 1
+
+    def test_threads_default_to_the_usable_cpus(self):
+        args = cli.build_parser().parse_args(["train"])
+        assert args.threads == len(os.sched_getaffinity(0))
+
+    @pytest.mark.parametrize("preset, printed", [(None, "1 1"), ("3", "3 1")])
+    def test_blas_pinned_to_one_thread_unless_set(self, preset, printed):
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        code = ("import licov.cli, os; "
+                "print(os.environ['OPENBLAS_NUM_THREADS'], os.environ['OMP_NUM_THREADS'])")
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True)
+        assert done.stdout == printed + "\n"
 
     def test_set_needs_key_value(self):
         assert cli.main(["generate", "--set", "novalue"]) == 1
@@ -378,6 +398,28 @@ class TestNumericErrors:
                        "KL predicted covariance has non-finite entries\n")
         assert not model.exists()
 
+    @pytest.mark.parametrize("threads", ["1", "3"])
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_non_finite_feature_in_a_worker(self, ws, monkeypatch, capsys, command, threads):
+        # a finite scan whose ranges overflow (|p| past ~1e154) while its
+        # scatter stays finite; it carries normals, so none are estimated
+        rng = np.random.default_rng(0)
+        huge = cloud.PointCloud(1e155 + 1e150 * rng.normal(size=(200, 3)),
+                                np.tile([0.0, 0.0, 1.0], (200, 1)))
+        monkeypatch.setattr(cloud.MapSetup, "scan", lambda self, sequence, k: huge)
+        monkeypatch.chdir(ws["root"])
+        paths = {"train": ["--set", "paths.model=model_huge.txt"],
+                 "eval": ["--set", "paths.model=model.txt",
+                          "--set", "paths.report=report_huge.txt"]}
+        with warnings.catch_warnings():  # the overflow warns in the worker threads
+            warnings.simplefilter("ignore", RuntimeWarning)
+            rc = cli.main([command, *COMMON, "--threads", threads,
+                           "--set", "paths.dataset=train_ds.csv", *paths[command]])
+        assert rc == 3
+        assert capsys.readouterr().err == "numeric error: non-finite feature encountered\n"
+        assert not (ws["root"] / "model_huge.txt").exists()
+        assert not (ws["root"] / "report_huge.txt").exists()
+
     def test_training_blow_up_raises_no_warning(self, ws):
         # the same divergence, with every numpy warning turned into an error:
         # the finite checks must be what stops training
@@ -465,9 +507,10 @@ class TestGenerate:
         rerun = ws["root"] / "rerun_threads"
         rerun.mkdir()
         monkeypatch.chdir(rerun)
-        assert cli.main(["generate", *COMMON, *GENERATE, "--threads", "2",
-                         "--set", "paths.dataset=ds.csv"]) == 0
-        assert (rerun / "ds.csv").read_bytes() == (ws["root"] / "ds.csv").read_bytes()
+        for threads in ("1", "3"):  # ws ran at the default
+            assert cli.main(["generate", *COMMON, *GENERATE, "--threads", threads,
+                             "--set", "paths.dataset=ds.csv"]) == 0
+            assert (rerun / "ds.csv").read_bytes() == (ws["root"] / "ds.csv").read_bytes()
 
     def test_one_index_per_labelled_frame(self, ws, monkeypatch):
         maps, indexed = spy_map_builds(monkeypatch)
@@ -515,6 +558,26 @@ class TestTrainEval:
         # config echo differs by construction; weights must not
         head = a.index("train_alpha")
         assert a[:head] == b[:head]
+
+    @pytest.mark.parametrize("threads", ["1", "2", "3"])
+    def test_thread_count_does_not_change_the_chain(self, ws, tmp_path, monkeypatch, threads):
+        # train, eval and fuse write the bytes ws wrote at the default count
+        shutil.copy(ws["root"] / "train_ds.csv", tmp_path)
+        monkeypatch.chdir(tmp_path)
+        chain = ["--threads", threads,
+                 "--set", "paths.dataset=train_ds.csv", "--set", "paths.model=model.txt"]
+        assert cli.main(["train", *COMMON, *chain, *TRAIN]) == 0
+        assert cli.main(["eval", *COMMON, *chain, "--set", "paths.report=report.txt"]) == 0
+        assert cli.main(["fuse", *COMMON, *chain,
+                         "--set", "paths.out_dir=fuse_out", "--set", "fusion.seed=3"]) == 0
+        names = ["model.txt", "model.loss", "report.txt", "fuse_out/fusion_table.csv",
+                 *(f"fuse_out/trajectory_{m}.txt" for m in ("icp_only", "fixed_cov",
+                                                            "predicted_cov"))]
+
+        def digests(root):
+            return {n: hashlib.sha256((root / n).read_bytes()).hexdigest() for n in names}
+
+        assert digests(tmp_path) == digests(ws["root"])
 
     def test_eval_report(self, ws):
         report = (ws["root"] / "report.txt").read_text()
@@ -589,14 +652,19 @@ class TestFuse:
         assert not (tmp_path / "trajectory_fixed_cov.txt").exists()
         assert not (tmp_path / "missing.csv").exists() and not (tmp_path / "missing.txt").exists()
 
-    def test_all_modes_build_each_map_once(self, ws, monkeypatch):
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_all_modes_build_each_map_once(self, ws, monkeypatch, threads):
         maps, indexed = spy_map_builds(monkeypatch)
         monkeypatch.chdir(ws["root"])
-        assert cli.main(["fuse", *COMMON,
+        assert cli.main(["fuse", *COMMON, "--threads", threads,
                          "--set", "paths.dataset=train_ds.csv", "--set", "paths.model=model.txt",
                          "--set", "paths.out_dir=fuse_once", "--set", "fusion.seed=3"]) == 0
-        assert [k for k, _ in maps] == [1, 2, 3]
-        assert indexed == [m for _, m in maps]
+        if threads == "1":
+            assert [k for k, _ in maps] == [1, 2, 3]
+            assert indexed == [m for _, m in maps]
+        else:  # frames are prepared ahead, in any order
+            assert sorted(k for k, _ in maps) == [1, 2, 3]
+            assert sorted(map(id, indexed)) == sorted(id(m) for _, m in maps)
 
     # a missing input exits 2 before the output directory is made
     @pytest.mark.parametrize("mode", ["predicted_cov", "fixed_cov"])

@@ -7,7 +7,7 @@ import pytest
 
 from licov import se3
 from licov.cloud import PointCloud, transform_cloud
-from licov.errors import DataError
+from licov.errors import DataError, NumericError
 from licov.features import FEATURE_DIM, extract_features, feature_spec_hash
 
 
@@ -48,6 +48,15 @@ class TestBasics:
         f = extract_features(random_cloud_with_normals(3))
         assert np.all(f[17:25] >= 0.0)
         assert abs(f[17:25].sum() - 1.0) < 1e-12
+
+    def test_overflowing_ranges_are_a_numeric_error(self):
+        # finite points past ~1e154 overflow |p| but not the scatter about
+        # their mean; normals are given, so the final finite check raises
+        rng = np.random.default_rng(0)
+        cloud = PointCloud(1e155 + 1e150 * rng.normal(size=(200, 3)),
+                           np.tile([0.0, 0.0, 1.0], (200, 1)))
+        with np.errstate(all="ignore"), pytest.raises(NumericError, match="non-finite feature"):
+            extract_features(cloud)
 
     def test_small_cloud_without_normals_has_empty_histogram(self):
         f = extract_features(PointCloud(np.eye(3) + 1.0))

@@ -6,10 +6,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from licov import fusion as fusion_mod
 from licov import model as model_mod
 from licov import se3
 from licov.cloud import MapSetup
-from licov.errors import ConfigError, DataError
+from licov.errors import ConfigError, DataError, NumericError
 from licov.features import extract_features
 from licov.fusion import (
     MODES,
@@ -361,3 +362,86 @@ class TestRunFusion:
 
     def test_modes_tuple(self):
         assert MODES == ("icp_only", "fixed_cov", "predicted_cov")
+
+
+class TestThreads:
+    """run_fusion spends `threads` on frames ahead and on a frame's modes;
+    the first fault it raises does not depend on it (the CLI chain tests
+    check that the poses do not either)."""
+
+    SETUP = FusionSetup(map=MapSetup(1, 1, map_voxel=0.4, scan_voxel=0.3), seed=3)
+    KW = {"model": constant_model(3e-4 * np.eye(6)), "fixed_cov": 1e-4 * np.eye(6)}
+
+    @pytest.fixture(scope="class")
+    def room(self):
+        return make_synthetic_scene("room", density=4, seed=7, n_frames=9)
+
+    def faulty_run(self, room, monkeypatch, threads, **faults):
+        """run_fusion over every frame of `room` whose align raises
+        NumericError at the listed (frame, mode) pairs, whose prediction
+        raises NumericError at predict_faults frames and whose map
+        preparation raises DataError at map_faults frames -> (exception,
+        frames started, [(frame aligned, frames started by then)])."""
+        frames = list(range(len(room)))
+        armed = dict.fromkeys(("align_faults", "predict_faults", "map_faults"), ())
+        # The aligns of a frame differ by mode only through their prior:
+        # a fault-free one-thread run, whose aligns come in mode order,
+        # names the mode of every prior. Each align moves its prior, so
+        # the modes part after frame 1.
+        frame_of, modes_of = {}, {}
+        prepare = MapSetup.frame
+
+        def frame(self, sequence, k):
+            started.append(k)
+            if k in armed["map_faults"]:
+                raise DataError(f"stub map fault at frame {k}")
+            scan, index = prepare(self, sequence, k)
+            frame_of[id(scan)] = frame_of[id(index)] = k
+            return scan, index
+
+        def align(source, index, initial, cfg):
+            k = frame_of[id(index)]
+            seen.append((k, list(started)))
+            key = (k, initial.R.tobytes(), initial.t.tobytes())
+            if key not in modes_of:
+                modes_of[key] = MODES[sum(x[0] == k for x in modes_of)]
+            mode = modes_of[key]
+            if (k, mode) in armed["align_faults"]:
+                raise NumericError(f"stub align fault at frame {k}, {mode}")
+            return SimpleNamespace(estimate=initial @ se3.exp(np.full(6, 1e-3)))
+
+        def predict(model, scan, normal_k):
+            k = frame_of[id(scan)]
+            if k in armed["predict_faults"]:
+                raise NumericError(f"stub predict fault at frame {k}")
+            return model_mod.predict(model, scan, normal_k)
+
+        monkeypatch.setattr(MapSetup, "frame", frame)
+        monkeypatch.setattr(fusion_mod, "predict", predict)
+        started, seen = [], []
+        run_fusion(room, frames, self.SETUP, align=align, **self.KW)
+        assert len(modes_of) == len(MODES) * (len(frames) - 1) - 2  # frame 1 is shared
+        armed.update(faults)
+        started, seen = [], []
+        with pytest.raises(Exception) as info:
+            run_fusion(room, frames, self.SETUP, align=align, threads=threads, **self.KW)
+        return info.value, started, seen
+
+    @pytest.mark.parametrize("faults, error, message", [
+        ({"align_faults": {(2, "fixed_cov"), (2, "predicted_cov")}, "predict_faults": {2},
+          "map_faults": {3}}, NumericError, "stub align fault at frame 2, fixed_cov"),
+        ({"align_faults": {(2, "predicted_cov")}, "predict_faults": {2}, "map_faults": {3}},
+         NumericError, "stub align fault at frame 2, predicted_cov"),
+        ({"predict_faults": {2}, "map_faults": {3}}, NumericError, "stub predict fault at frame 2"),
+        ({"align_faults": {(3, "icp_only")}, "map_faults": {3}}, DataError,
+         "stub map fault at frame 3"),
+    ], ids=["align-mode-order", "align-before-predict", "predict-before-map", "map-before-align"])
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_first_fault_is_the_serial_one(self, room, monkeypatch, threads, faults, error,
+                                           message):
+        e, started, seen = self.faulty_run(room, monkeypatch, threads, **faults)
+        assert type(e) is error and str(e) == message
+        # no frame past the current one plus `threads` was started
+        assert all(max(before) <= k + threads for k, before in seen)
+        current = max(k for k, _ in seen)
+        assert max(started) <= current + threads < len(room) - 1
