@@ -7,9 +7,9 @@ comparison), synth (materialize a synthetic sequence on disk).
 Exit codes: 0 success, 1 usage/configuration error, 2 data error,
 3 numeric failure.
 
---threads is the one thread budget of every command; BLAS is pinned to
-one thread, since every product licov makes is too small to gain from
-more (a value already set in the environment wins).
+--threads is the worker budget of generate, train, eval and fuse. BLAS
+is pinned to one thread, since every product licov makes is too small to
+gain from more (a value already set in the environment wins).
 """
 from __future__ import annotations
 
@@ -59,9 +59,11 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--threads",
         type=int,
+        metavar="N",
         default=_usable_cpus(),
-        help="worker threads: frames for generate, records for train and eval, "
-        "frames and modes for fuse; outputs do not depend on it (default: usable CPUs)",
+        help="worker threads: generate labels N frames at once, train and eval prepare "
+        "N records at once, fuse aligns a frame's modes at once while preparing the next "
+        "two frames; outputs do not depend on it (default: usable CPUs)",
     )
 
     parser = _Parser(prog="licov", description=__doc__)
@@ -115,25 +117,20 @@ def cmd_generate(cfg: RunConfig, threads: int) -> int:
     return 0
 
 
-def _dataset_samples(cfg: RunConfig, threads: int):
-    """-> (records, [(record, filtered scan)]); the scans are read on
-    `threads` workers, and the first fault in record order is raised."""
+def _dataset_samples(cfg: RunConfig):
     seq = cfg.sequence.open()
     _, records = mcgen.read_dataset(cfg.paths.dataset)
-
-    def scan(rec):
+    samples = []
+    for rec in records:
         if not 0 <= rec.frame_id < len(seq):
             raise DataError(f"dataset frame {rec.frame_id} outside the sequence")
-        return cfg.map.scan(seq, rec.frame_id)
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        scans = list(pool.map(scan, records))
-    return records, list(zip(records, scans))
+        samples.append((rec, cfg.map.scan(seq, rec.frame_id)))
+    return records, samples
 
 
 def cmd_train(cfg: RunConfig, threads: int) -> int:
     tc = cfg.train
-    _, samples = _dataset_samples(cfg, threads)
+    _, samples = _dataset_samples(cfg)
 
     def progress(step, loss):
         if (step + 1) % max(1, tc.steps // 10) == 0:
@@ -154,7 +151,7 @@ def cmd_train(cfg: RunConfig, threads: int) -> int:
 
 
 def cmd_eval(cfg: RunConfig, threads: int) -> int:
-    records, samples = _dataset_samples(cfg, threads)
+    records, samples = _dataset_samples(cfg)
     trained, _ = model_mod.load_model(cfg.paths.model)
     with ThreadPoolExecutor(max_workers=threads) as pool:
         predictions = list(pool.map(

@@ -173,12 +173,13 @@ def run_fusion(
     (source, index, initial, cfg -> object with .estimate); it is called
     once per frame and mode.
 
-    The work runs on one pool of `threads` workers. The next `threads`
-    frames are prepared ahead (map, scan filter and, for predicted_cov,
-    the prediction) while a frame's modes align at the same time; EKF
-    updates are applied in mode order. The result does not depend on
-    `threads`, and the first fault raised is the one a frame-by-frame,
-    mode-by-mode loop raises; the work not yet started is then cancelled.
+    The work runs on one pool of `threads` workers. A frame's modes align
+    at the same time, next to its prediction and the preparation of the
+    frames ahead (two, so at most three maps are held whatever `threads`
+    is); EKF updates are applied in mode order. The result does not
+    depend on `threads`, and the first fault raised is the one a
+    frame-by-frame, mode-by-mode loop raises; the work not yet started is
+    then cancelled.
     """
     modes = setup.mode_names
     if "predicted_cov" in modes and model is None:
@@ -191,15 +192,6 @@ def run_fusion(
     if align is None:
         align = icp_point_to_plane
 
-    def prepare(k):
-        scan, index = setup.map.frame(sequence, k)
-        if "predicted_cov" not in modes:
-            return scan, index, None
-        try:
-            return scan, index, predict(model, scan, setup.map.normal_k)
-        except Exception as e:  # raised where predicted_cov's update needs it
-            return scan, index, e
-
     def step(state, motion, scan, index):
         state = ekf_predict(state, motion)
         return state, align(scan, index, state.pose, setup.icp)
@@ -210,10 +202,12 @@ def run_fusion(
     states = dict.fromkeys(modes, start)
     out = {mode: [start.pose] for mode in modes}
     prev_truth = start.pose
-    todo = iter(frames[1:])
     with ThreadPoolExecutor(max_workers=threads) as pool:
         try:
-            ahead = deque(pool.submit(prepare, k) for k in islice(todo, threads))
+            # two frames ahead of the one that aligns, at any thread count:
+            # one frame ahead left the workers idle between frames
+            todo = iter(frames[1:])
+            ahead = deque(pool.submit(setup.map.frame, sequence, j) for j in islice(todo, 2))
             for k in frames[1:]:
                 truth = sequence.pose(k)
                 delta_true = se3.inverse(prev_truth) @ truth
@@ -221,17 +215,17 @@ def run_fusion(
                 eta = rng.normal(0.0, 1.0, 6) * sig
                 motion = MotionInput(delta_true @ se3.exp(eta), Q)
 
-                scan, index, predicted = ahead.popleft().result()
+                scan, index = ahead.popleft().result()
+                ahead.extend(pool.submit(setup.map.frame, sequence, j) for j in islice(todo, 1))
+                if "predicted_cov" in modes:
+                    predicted = pool.submit(predict, model, scan, setup.map.normal_k)
                 steps = [pool.submit(step, states[mode], motion, scan, index) for mode in modes]
-                ahead.extend(pool.submit(prepare, j) for j in islice(todo, 1))
                 for mode, future in zip(modes, steps):
                     state, result = future.result()
                     if mode == "icp_only":
                         state = FusionState(result.estimate, state.covariance)
                     else:
-                        R = fixed_cov if mode == "fixed_cov" else predicted
-                        if isinstance(R, Exception):
-                            raise R
+                        R = fixed_cov if mode == "fixed_cov" else predicted.result()
                         state = ekf_update(state, result.estimate, R)
                     states[mode] = state
                     out[mode].append(state.pose)

@@ -280,25 +280,20 @@ def train(samples, config: TrainConfig = TrainConfig(), normal_k: int = 10,
     Returns (model, loss_trace). Deterministic for a fixed config seed;
     weight init, batch sampling, and augmentation each get their own
     substream so turning augmentation off (or zeroing its ranges) leaves
-    the sampled batches unchanged. Scan normals and features are computed
-    once up front, record by record on `threads` workers (the first fault
-    in record order is raised), so augmented feature extraction only
-    rotates the normals. Each step runs its batch through the network and
-    one head kernel call, with sums in sample order: the bytes of a
-    sample-at-a-time loop.
+    the sampled batches unchanged. Scan normals are estimated once up
+    front so augmented feature extraction only rotates them; every
+    record's normals, then every record's features, are computed on
+    `threads` workers, and the first fault in that order is raised. Each
+    step runs its batch through the network and one head kernel call,
+    with sums in sample order: the bytes of a sample-at-a-time loop.
     """
     if not samples:
         raise DataError("training needs at least one labeled sample")
     records = [rec for rec, _ in samples]
     p = _sampling_p(records)
-
-    def prepare(sample):
-        scan = with_normals(sample[1], normal_k)
-        return scan, extract_features(scan, normal_k)
-
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        scans, feats = zip(*pool.map(prepare, samples))
-    feats = np.asarray(feats)
+        scans = list(pool.map(lambda sample: with_normals(sample[1], normal_k), samples))
+        feats = np.asarray(list(pool.map(lambda s: extract_features(s, normal_k), scans)))
     feat_mean = feats.mean(axis=0)
     feat_scale = feats.std(axis=0)
     feat_scale[feat_scale < 1e-12] = 1.0

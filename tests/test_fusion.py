@@ -365,8 +365,8 @@ class TestRunFusion:
 
 
 class TestThreads:
-    """run_fusion spends `threads` on frames ahead and on a frame's modes;
-    the first fault it raises does not depend on it (the CLI chain tests
+    """run_fusion prepares two frames ahead of the one that aligns; the
+    first fault it raises does not depend on `threads` (the CLI chain tests
     check that the poses do not either)."""
 
     SETUP = FusionSetup(map=MapSetup(1, 1, map_voxel=0.4, scan_voxel=0.3), seed=3)
@@ -441,7 +441,7 @@ class TestThreads:
                                            message):
         e, started, seen = self.faulty_run(room, monkeypatch, threads, **faults)
         assert type(e) is error and str(e) == message
-        # no frame past the current one plus `threads` was started
-        assert all(max(before) <= k + threads for k, before in seen)
+        # no frame past the current one plus two was started
+        assert all(max(before) <= k + 2 for k, before in seen)
         current = max(k for k, _ in seen)
-        assert max(started) <= current + threads < len(room) - 1
+        assert max(started) <= current + 2 < len(room) - 1

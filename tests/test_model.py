@@ -535,6 +535,29 @@ class TestTraining:
         with pytest.raises(NumericError, match=r"^record 2 \(frame 7\): covariance has non-finite"):
             train(samples, cfg)
 
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_first_fault_is_the_serial_one(self, monkeypatch, threads):
+        # every record's normals come before any record's features, so a
+        # normals fault in record 1 beats a features fault in record 0
+        samples = tiny_samples(3)
+        record_of = {id(scan): i for i, (_, scan) in enumerate(samples)}
+
+        def normals(scan, normal_k):
+            if record_of[id(scan)] == 1:
+                raise DataError("stub normals fault in record 1")
+            return scan
+
+        def features(scan, normal_k):
+            raise NumericError(f"stub features fault in record {record_of[id(scan)]}")
+
+        monkeypatch.setattr(model_mod, "with_normals", normals)
+        monkeypatch.setattr(model_mod, "extract_features", features)
+        with pytest.raises(DataError, match="^stub normals fault in record 1$"):
+            train(samples, TrainConfig(steps=1), threads=threads)
+        monkeypatch.setattr(model_mod, "with_normals", lambda scan, normal_k: scan)
+        with pytest.raises(NumericError, match="^stub features fault in record 0$"):
+            train(samples, TrainConfig(steps=1), threads=threads)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(alpha=-0.1)
