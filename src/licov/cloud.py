@@ -146,14 +146,19 @@ def voxel_downsample(cloud: PointCloud, voxel_size: float) -> PointCloud:
     summation roundoff. Normals are dropped (centroids need re-estimation).
     The keys are packed into one int64 in mixed radix over the occupied
     grid, which keeps that order; a grid of more than 2**63 - 1 cells
-    raises ConfigError.
+    raises ConfigError, and a key past the int64 range DataError.
     """
     if not np.isfinite(voxel_size) or voxel_size <= 0:
         raise ConfigError(f"voxel_size must be positive, got {voxel_size}")
     pts = cloud.points
     if pts.shape[0] == 0:
         return PointCloud(pts)
-    keys = np.floor(pts / voxel_size).astype(np.int64)
+    with np.errstate(over="ignore"):
+        keys = np.floor(pts / voxel_size)
+    if not (keys.min() >= -2.0**63 and keys.max() < 2.0**63):
+        raise DataError(f"coordinates up to {np.abs(pts).max():.3g} give voxel keys "
+                        f"past the int64 range at voxel_size {voxel_size}")
+    keys = keys.astype(np.int64)
     lo = keys.min(axis=0)
     nx, ny, nz = (int(h) - int(l) + 1 for h, l in zip(keys.max(axis=0), lo))
     if nx * ny * nz > np.iinfo(np.int64).max:
@@ -174,7 +179,8 @@ def estimate_normals(cloud: PointCloud, k: int = 10) -> PointCloud:
     The neighborhood of a point is the point itself plus its k nearest
     neighbors; the normal is the eigenvector of the smallest scatter
     eigenvalue, flipped so that dot(normal, -point) >= 0 (toward the
-    coordinate origin, where the sensor sits for raw scans).
+    coordinate origin, where the sensor sits for raw scans). Neighbourhoods
+    so wide that their scatter overflows raise DataError.
     """
     if k < 3:
         raise ValueError("k must be at least 3")
@@ -183,20 +189,30 @@ def estimate_normals(cloud: PointCloud, k: int = 10) -> PointCloud:
     if n < k + 1:
         raise DataError(f"need at least {k + 1} points, have {n}")
     # nested, so that each step's arrays are freed before the next one runs
-    normals = _smallest_eigenvectors(*_scatter_entries(pts, _knn_in_tree_order(pts, k + 1)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        normals = _smallest_eigenvectors(*_scatter_entries(pts, _knn_in_tree_order(pts, k + 1)))
+    if not np.isfinite(normals).all():
+        raise _scatter_overflow(pts)
     normals[np.einsum("ij,ij->i", normals, pts) > 0.0] *= -1.0
     return PointCloud(pts, normals)
+
+
+def _scatter_overflow(pts) -> DataError:
+    return DataError(f"coordinates up to {np.abs(pts).max():.3g} overflow the normals' scatter")
 
 
 def _knn_in_tree_order(pts, k) -> np.ndarray:
     """(n, k) ids of each point's k nearest points, as
     cKDTree(pts).query(pts, k) gives them. The queries run in the tree's
     leaf order, where consecutive ones walk the same nodes; each query is
-    independent, so the ids do not change."""
+    independent, so the ids do not change. A neighbour whose distance
+    overflows comes back as id n, missing, which raises DataError."""
     tree = cKDTree(pts)
     order = tree.indices
     ids = np.empty((len(pts), k), dtype=np.intp)
     ids[order] = tree.query(pts[order], k=k)[1]
+    if ids[:, -1].max() == len(pts):
+        raise _scatter_overflow(pts)
     return ids
 
 
@@ -328,9 +344,12 @@ def build_local_map(scans, poses, k: int, setup: MapSetup) -> PointCloud:
             raise DataError(f"frame {i} has no pose")
         parts.append(transform_cloud(scans[i], poses[i]).points)
     merged = PointCloud(np.vstack(parts))
-    reduced = voxel_downsample(merged, setup.map_voxel)
-    if len(reduced) == 0:
-        raise DataError("local map is empty after voxel filtering")
-    if len(reduced) < 4:
-        return reduced
-    return estimate_normals(reduced, k=min(setup.normal_k, len(reduced) - 1))
+    try:
+        reduced = voxel_downsample(merged, setup.map_voxel)
+        if len(reduced) == 0:
+            raise DataError("local map is empty after voxel filtering")
+        if len(reduced) < 4:
+            return reduced
+        return estimate_normals(reduced, k=min(setup.normal_k, len(reduced) - 1))
+    except DataError as e:
+        raise DataError(f"frame {k}: {e}") from None

@@ -44,10 +44,7 @@ class IcpResult:
     estimate: se3.SE3
     converged: bool
     iterations_used: int
-    final_rmse: float
-    condition_number: float
     singular: bool
-    normal_matrix: np.ndarray
 
 
 def _norm(v):
@@ -137,13 +134,8 @@ def icp_point_to_plane(
     match = _Matcher(index, len(src))
     jac_buf = np.empty((len(src), 6))
     estimate = initial
-    converged = False
     singular = False
-    cond = np.inf
-    normal_matrix = np.zeros((6, 6))
-    iterations = 0
-    for _ in range(config.max_iterations):
-        iterations += 1
+    for iterations in range(1, config.max_iterations + 1):
         p = estimate.apply(src)
         pm, n, r = _residuals(p, *match(p), gate, target)
         # [n, pm x n], the cross product in np.cross's operation order
@@ -158,28 +150,13 @@ def icp_point_to_plane(
         eig = np.linalg.eigvalsh(A)
         if eig[0] < _RANK_TOL * max(eig[-1], np.finfo(float).tiny):
             singular = True
-            cond = np.inf if eig[0] <= 0 else eig[-1] / eig[0]
             delta = np.linalg.pinv(A, rcond=_RANK_TOL) @ b
         else:
-            cond = eig[-1] / eig[0]
             delta = np.linalg.solve(A, b)
-        normal_matrix = A
         estimate = se3.exp(delta) @ estimate
         if (
             np.linalg.norm(delta[:3]) < config.translation_eps
             and np.linalg.norm(delta[3:]) < config.rotation_eps
         ):
-            converged = True
-            break
-
-    p = estimate.apply(src)
-    r = _residuals(p, *match(p), gate, target)[2]
-    return IcpResult(
-        estimate=estimate,
-        converged=converged,
-        iterations_used=iterations,
-        final_rmse=float(np.sqrt(np.mean(r**2))),
-        condition_number=float(cond),
-        singular=singular,
-        normal_matrix=normal_matrix,
-    )
+            return IcpResult(estimate, True, iterations, singular)
+    return IcpResult(estimate, False, iterations, singular)

@@ -134,8 +134,7 @@ _KINDS = {
 class SyntheticSequence(Sequence):
     """Deterministic resampled scans along a fixed path through a scene."""
 
-    def __init__(self, kind, rects, poses, density, max_range, noise_sigma, seed):
-        self.kind = kind
+    def __init__(self, rects, poses, density, max_range, noise_sigma, seed):
         self._rects = rects
         self._poses = poses
         self.density = float(density)
@@ -206,7 +205,7 @@ class SequenceSpec:
         rects_fn, path_fn, density, max_range, n_frames = _KINDS[self.scene]
         n_frames = n_frames if self.n_frames is None else int(self.n_frames)
         return SyntheticSequence(
-            self.scene, rects_fn(), path_fn(n_frames),
+            rects_fn(), path_fn(n_frames),
             density if self.density is None else self.density,
             max_range if self.max_range is None else self.max_range,
             self.noise_sigma, self.seed,

@@ -275,6 +275,29 @@ class TestDataErrors:
             f"data error: frame {frame}: local map has 2 points, too few for normals (need 4)\n")
         assert not (tmp_path / "out").exists()
 
+    def test_huge_pose_translation_names_the_frame(self, tmp_path, capsys):
+        # 1e160 added to every translation puts the map's voxel keys past
+        # int64; the fault is the data's, reported with no warning line
+        out = tmp_path / "kitti"
+        assert cli.main(["synth", "--set", "sequence.scene=plane", "--set", "sequence.density=1",
+                         "--set", "sequence.n_frames=2", "--set", f"paths.out_dir={out}"]) == 0
+        poses = out / "poses.txt"
+        rows = np.loadtxt(poses, ndmin=2)
+        rows[:, 3::4] += 1e160
+        np.savetxt(poses, rows, fmt="%.17g")
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["generate", "--set", "sequence.kind=kitti",
+                           "--set", f"sequence.scan_dir={out / 'scans'}",
+                           "--set", f"sequence.pose_file={poses}",
+                           "--set", f"paths.dataset={tmp_path / 'ds.csv'}"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "data error: frame 0: coordinates up to 1e+160 give voxel keys past the int64 "
+            "range at voxel_size 1.0\n")
+        assert not (tmp_path / "ds.csv").exists()
+
     # one non-numeric value per field kind: (line, comma-separated column, text)
     @pytest.mark.parametrize("line, column, text", [
         (1, 1, "one"),

@@ -146,6 +146,16 @@ class TestVoxelDownsample:
         with pytest.raises(ConfigError, match=r"cells, over 2\*\*63 - 1"):
             voxel_downsample(PointCloud([[-1e7, 0.0, 0.0], [1e7, 1e7, 1e7]]), 1e-5)
 
+    def test_keys_past_int64_are_a_data_error(self):
+        # -2**63 is the lowest int64 key and passes; 2**63 is one past the top
+        edge = voxel_downsample(PointCloud([[-2.0**63, 0.0, 0.0]]), 1.0)
+        assert edge.points.tolist() == [[-2.0**63, 0.0, 0.0]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for pts, voxel in (([[2.0**63, 0.0, 0.0]], 1.0), ([[0.0, 0.0, 1e300]], 1e-10)):
+                with pytest.raises(DataError, match="voxel keys past the int64 range"):
+                    voxel_downsample(PointCloud(pts), voxel)
+
     def test_two_points_one_voxel_centroid(self):
         cloud = PointCloud([[0.1, 0, 0], [0.3, 0, 0]])
         out = voxel_downsample(cloud, 1.0)
@@ -243,6 +253,16 @@ class TestNormals:
     def test_too_few_points(self):
         with pytest.raises(DataError, match="need at least 4 points, have 3"):
             estimate_normals(PointCloud(np.eye(3)), k=3)
+
+    # neighbourhoods 1e150 wide overflow the closed form; 1e160 apart, the
+    # k-d tree's distances overflow and it reports neighbours as missing
+    @pytest.mark.parametrize("offset, spread", [(1e155, 1e150), (0.0, 1e160)])
+    def test_overflowing_scatter_is_a_data_error(self, offset, spread):
+        pts = offset + spread * np.random.default_rng(0).normal(size=(200, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="overflow the normals' scatter"):
+                estimate_normals(PointCloud(pts))
 
     def test_k_below_three_rejected(self):
         with pytest.raises(ValueError):
@@ -421,6 +441,11 @@ class TestLocalMap:
     def test_empty_sequence(self):
         with pytest.raises(DataError, match="no scans available"):
             build_local_map([], [], 0, MapSetup())
+
+    def test_overflowing_normals_name_the_frame(self):
+        scans = [PointCloud(1e155 + 1e150 * np.random.default_rng(1).normal(size=(50, 3)))]
+        with pytest.raises(DataError, match=r"^frame 0: coordinates up to 1e\+155 overflow"):
+            build_local_map(scans, [se3.SE3.identity()], 0, MapSetup(0, 0, map_voxel=1e148))
 
     def test_frame_out_of_range(self):
         scans = [PointCloud([[0, 0, 0]])]
