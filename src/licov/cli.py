@@ -7,7 +7,8 @@ comparison), synth (materialize a synthetic sequence on disk).
 Exit codes: 0 success, 1 usage/configuration error, 2 data error,
 3 numeric failure.
 
---threads is the worker budget of generate, train, eval and fuse. BLAS
+--threads is the worker budget of generate, train, eval and fuse:
+processes for generate and fuse, threads for train and eval. BLAS
 is pinned to one thread, since every product licov makes is too small to
 gain from more (a value already set in the environment wins).
 """
@@ -61,9 +62,11 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         metavar="N",
         default=_usable_cpus(),
-        help="worker threads: generate labels N frames at once, train and eval prepare "
-        "N records at once, fuse aligns a frame's modes at once while preparing the next "
-        "two frames; outputs do not depend on it (default: usable CPUs)",
+        help="workers: generate and fuse fork up to N processes, each with its own scan "
+        "cache (generate labels N frames at once; fuse runs each mode as its own chain of "
+        "frames and prepares at most two frames past its slowest mode); train and eval "
+        "prepare N records at once on threads; outputs do not depend on it "
+        "(default: usable CPUs)",
     )
 
     parser = _Parser(prog="licov", description=__doc__)

@@ -50,6 +50,9 @@ class PointCloud:
     def __setattr__(self, name, value):
         raise AttributeError("PointCloud is immutable")
 
+    def __reduce__(self):
+        return PointCloud, (self.points, self.normals)
+
     def __len__(self):
         return self.points.shape[0]
 
@@ -145,8 +148,9 @@ def voxel_downsample(cloud: PointCloud, voxel_size: float) -> PointCloud:
     y, then z), so the result does not depend on input point order beyond
     summation roundoff. Normals are dropped (centroids need re-estimation).
     The keys are packed into one int64 in mixed radix over the occupied
-    grid, which keeps that order; a grid of more than 2**63 - 1 cells
-    raises ConfigError, and a key past the int64 range DataError.
+    grid, which keeps that order. The data's extent can overflow it: a key
+    past the int64 range, or a grid of more than 2**63 - 1 cells, raises
+    DataError.
     """
     if not np.isfinite(voxel_size) or voxel_size <= 0:
         raise ConfigError(f"voxel_size must be positive, got {voxel_size}")
@@ -159,13 +163,14 @@ def voxel_downsample(cloud: PointCloud, voxel_size: float) -> PointCloud:
         raise DataError(f"coordinates up to {np.abs(pts).max():.3g} give voxel keys "
                         f"past the int64 range at voxel_size {voxel_size}")
     keys = keys.astype(np.int64)
-    lo = keys.min(axis=0)
-    nx, ny, nz = (int(h) - int(l) + 1 for h, l in zip(keys.max(axis=0), lo))
+    # one reduction per column: an axis-0 reduction of (N, 3) is many times slower
+    lo = [int(c.min()) for c in keys.T]
+    nx, ny, nz = (int(c.max()) - l + 1 for c, l in zip(keys.T, lo))
     if nx * ny * nz > np.iinfo(np.int64).max:
-        raise ConfigError(
+        raise DataError(
             f"voxel_size {voxel_size} gives a grid of {nx * ny * nz} cells, over 2**63 - 1"
         )
-    rel = keys - lo
+    rel = keys - np.array(lo)
     packed = (rel[:, 0] * ny + rel[:, 1]) * nz + rel[:, 2]
     _, inv = np.unique(packed, return_inverse=True)
     counts = np.bincount(inv).astype(float)
@@ -304,7 +309,8 @@ def transform_cloud(cloud: PointCloud, t: se3.SE3) -> PointCloud:
 
 
 class NeighborIndex:
-    """Nearest-neighbor index over a cloud (space-partitioning tree)."""
+    """Nearest-neighbor index over a cloud (space-partitioning tree). It
+    pickles with its tree, so a copy answers as the original does."""
 
     def __init__(self, cloud: PointCloud):
         self.cloud = cloud

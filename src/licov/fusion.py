@@ -9,14 +9,12 @@ per-frame predicted covariances.
 """
 from __future__ import annotations
 
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, wait
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
-from . import se3
+from . import se3, workers
 from .cloud import MapSetup, format_pose, parse_pose
 from .errors import ConfigError, DataError, NumericError, at_line, require
 from .icp import IcpConfig, icp_point_to_plane
@@ -153,6 +151,21 @@ def read_trajectory(path) -> Trajectory:
     return Trajectory(frame_ids, poses)
 
 
+def _prepare(context, k):
+    sequence, setup, _, _ = context
+    return setup.map.frame(sequence, k)
+
+
+def _predict(context, scan):
+    _, setup, model, _ = context
+    return predict(model, scan, setup.map.normal_k)
+
+
+def _align(context, scan, index, prior):
+    _, setup, _, align = context
+    return align(scan, index, prior, setup.icp).estimate
+
+
 def run_fusion(
     sequence,
     frames,
@@ -173,13 +186,17 @@ def run_fusion(
     (source, index, initial, cfg -> object with .estimate); it is called
     once per frame and mode.
 
-    The work runs on one pool of `threads` workers. A frame's modes align
-    at the same time, next to its prediction and the preparation of the
-    frames ahead (two, so at most three maps are held whatever `threads`
-    is); EKF updates are applied in mode order. The result does not
-    depend on `threads`, and the first fault raised is the one a
-    frame-by-frame, mode-by-mode loop raises; the work not yet started is
-    then cancelled.
+    A frame's preparation, its prediction and each mode's align are tasks
+    on a workers.Pool of `threads` workers; the EKF steps run here. A
+    mode's state depends only on its own previous frame, so each mode is
+    a chain of frames: a mode whose align ends early starts its next frame
+    while another still aligns (with one worker, the modes move frame by
+    frame together). Frames are prepared at most two past the slowest
+    mode's, so at most three maps are held. The result does not depend on
+    `threads`. Faults keep the order of the loop `for each frame: map;
+    align of each mode`, with the prediction right after predicted_cov's
+    align: once one is seen nothing later in that order starts, every
+    earlier task finishes, and the earliest fault is raised.
     """
     modes = setup.mode_names
     if "predicted_cov" in modes and model is None:
@@ -192,47 +209,119 @@ def run_fusion(
     if align is None:
         align = icp_point_to_plane
 
-    def step(state, motion, scan, index):
-        state = ekf_predict(state, motion)
-        return state, align(scan, index, state.pose, setup.icp)
-
     sig = setup.motion_sigmas()
     Q = np.diag(sig**2)
-    start = FusionState(sequence.pose(frames[0]), setup.init_cov * np.eye(6))
+    truths = [sequence.pose(k) for k in frames]
+    motions = [None]
+    for k, prev_truth, truth in zip(frames[1:], truths, truths[1:]):
+        delta_true = se3.inverse(prev_truth) @ truth
+        rng = np.random.default_rng(np.random.SeedSequence((setup.seed, k)))
+        eta = rng.normal(0.0, 1.0, 6) * sig
+        motions.append(MotionInput(delta_true @ se3.exp(eta), Q))
+
+    # A task's place in the frame-by-frame loop is (frame position, slot),
+    # and order[slot] names it.
+    order = ["map"]
+    for mode in modes:
+        order += [mode, "predict"] if mode == "predicted_cov" else [mode]
+    slot = {name: s for s, name in enumerate(order)}
+    update_slot = {mode: slot["predict" if mode == "predicted_cov" else mode] for mode in modes}
+
+    n = len(frames)
+    start = FusionState(truths[0], setup.init_cov * np.eye(6))
     states = dict.fromkeys(modes, start)
     out = {mode: [start.pose] for mode in modes}
-    prev_truth = start.pose
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        try:
-            # two frames ahead of the one that aligns, at any thread count:
-            # one frame ahead left the workers idle between frames
-            todo = iter(frames[1:])
-            ahead = deque(pool.submit(setup.map.frame, sequence, j) for j in islice(todo, 2))
-            for k in frames[1:]:
-                truth = sequence.pose(k)
-                delta_true = se3.inverse(prev_truth) @ truth
-                rng = np.random.default_rng(np.random.SeedSequence((setup.seed, k)))
-                eta = rng.normal(0.0, 1.0, 6) * sig
-                motion = MotionInput(delta_true @ se3.exp(eta), Q)
+    at = dict.fromkeys(modes, 1)  # the position of the frame each mode aligns next
+    priors, measured = {}, {}     # mode -> predicted state / estimate of its frame
+    ready, covs = {}, {}          # position -> (scan, index) / predicted covariance
+    predicting = set()
+    tasks, faults = {}, []        # future -> place; [(place, error)]
+    # how far a mode may align past the slowest one: one worker keeps the
+    # call order of the frame-by-frame loop
+    lead = 0 if threads == 1 else 2
+    mapped = 1
 
-                scan, index = ahead.popleft().result()
-                ahead.extend(pool.submit(setup.map.frame, sequence, j) for j in islice(todo, 1))
-                if "predicted_cov" in modes:
-                    predicted = pool.submit(predict, model, scan, setup.map.normal_k)
-                steps = [pool.submit(step, states[mode], motion, scan, index) for mode in modes]
-                for mode, future in zip(modes, steps):
-                    state, result = future.result()
+    def allowed(place):
+        return not faults or place < min(p for p, _ in faults)
+
+    def fail(place, error):
+        faults.append((place, error))
+        for future, later in tasks.items():
+            if later > place:
+                future.cancel()
+
+    with workers.Pool(threads, n * len(order), (sequence, setup, model, align)) as pool:
+
+        def submit(place, fn, *args):
+            tasks[pool.submit(fn, *args)] = place
+
+        while True:
+            for mode in modes:  # EKF updates, in this process
+                i = at[mode]
+                place = (i, update_slot[mode])
+                if mode not in measured or (mode == "predicted_cov" and i not in covs):
+                    continue
+                if not allowed(place):
+                    continue
+                prior, estimate = priors[mode], measured[mode]
+                try:
                     if mode == "icp_only":
-                        state = FusionState(result.estimate, state.covariance)
+                        state = FusionState(estimate, prior.covariance)
                     else:
-                        R = fixed_cov if mode == "fixed_cov" else predicted.result()
-                        state = ekf_update(state, result.estimate, R)
-                    states[mode] = state
-                    out[mode].append(state.pose)
-                prev_truth = truth
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
+                        R = fixed_cov if mode == "fixed_cov" else covs[i]
+                        state = ekf_update(prior, estimate, R)
+                except Exception as e:
+                    fail(place, e)
+                    continue
+                del priors[mode], measured[mode]
+                if mode == "predicted_cov":
+                    del covs[i]
+                states[mode] = state
+                out[mode].append(state.pose)
+                at[mode] = i + 1
+            slowest = min(at.values())
+            for i in [i for i in ready if i < slowest]:
+                del ready[i]
+            while mapped < min(n, slowest + 3) and allowed((mapped, 0)):
+                submit((mapped, 0), _prepare, frames[mapped])
+                mapped += 1
+            if "predicted_cov" in modes:
+                for i in range(slowest, min(n, slowest + lead + 1)):
+                    place = (i, slot["predict"])
+                    if i in ready and i not in predicting and allowed(place):
+                        predicting.add(i)
+                        submit(place, _predict, ready[i][0])
+            for mode in modes:
+                i = at[mode]
+                place = (i, slot[mode])
+                if mode in priors or i > slowest + lead or i not in ready or not allowed(place):
+                    continue
+                try:
+                    priors[mode] = ekf_predict(states[mode], motions[i])
+                except Exception as e:
+                    fail(place, e)
+                    continue
+                submit(place, _align, *ready[i], priors[mode].pose)
+            if not tasks:
+                break
+            done, _ = wait(tasks, return_when=FIRST_COMPLETED)
+            for future in done:
+                i, s = place = tasks.pop(future)
+                if future.cancelled():
+                    continue
+                try:
+                    result = future.result()
+                except Exception as e:
+                    fail(place, e)
+                    continue
+                if order[s] == "map":
+                    ready[i] = result
+                elif order[s] == "predict":
+                    covs[i] = result
+                else:
+                    measured[order[s]] = result
+    if faults:
+        raise min(faults, key=lambda fault: fault[0])[1]
     return {mode: Trajectory(list(frames), poses) for mode, poses in out.items()}
 
 

@@ -12,12 +12,13 @@ floats with 17 significant digits. Lines starting with '#' are warnings.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import FIRST_COMPLETED, wait
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import se3
+from . import se3, workers
 from .cloud import MapSetup, NeighborIndex
 from .errors import (
     AngleNearPi,
@@ -271,6 +272,21 @@ def dataset_metadata(spec, n, setup, config, seed, extra=None):
     return md
 
 
+def _label(context, frame_id) -> CovRecord:
+    """Prepare one frame and label it: generate_dataset's task."""
+    sequence, setup, spec, n, config, seed = context
+    scan, index = setup.frame(sequence, frame_id)
+    return run_monte_carlo(scan, index, sequence.pose(frame_id), spec, n, config,
+                           seed=seed, frame_id=frame_id)
+
+
+def _faulted(future) -> bool:
+    """Done, with an error other than a skipped frame's."""
+    if not future.done() or future.exception() is None:
+        return False
+    return not isinstance(future.exception(), TooFewValidSamples)
+
+
 def generate_dataset(
     sequence,
     frames,
@@ -286,54 +302,39 @@ def generate_dataset(
 ) -> GenerateSummary:
     """Label the requested frames and write the dataset file.
 
-    Frames are processed independently in a pool of `threads` workers and
-    written in ascending frame order, so output bytes do not depend on
-    thread count. Frames whose samples nearly all diverge are skipped
-    with a '#' warning line instead of aborting the run. Any other error,
-    or an interrupt, cancels the frames not yet started and is re-raised.
+    Frames are labelled independently, at most `threads` at a time, on a
+    workers.Pool, and written in ascending frame order, so output bytes do
+    not depend on thread count. Frames whose samples nearly all diverge
+    are skipped with a '#' warning line instead of aborting the run. Any
+    other error is raised once every earlier frame has finished, and no
+    frame past it starts; an interrupt cancels the frames not yet started.
     """
     frames = sorted(set(int(f) for f in frames))
-    # Frames that raised. A frame after one of them is not started: the
-    # in-order loop below re-raises at the earliest and never reads it.
-    failed = []
-
-    def job(frame_id):
-        if failed and frame_id > min(failed):
-            return None
-        try:
-            scan, index = setup.frame(sequence, frame_id)
-            return run_monte_carlo(
-                scan,
-                index,
-                sequence.pose(frame_id),
-                spec,
-                n,
-                config,
-                seed=seed,
-                frame_id=frame_id,
-            )
-        except TooFewValidSamples:
-            raise
-        except Exception:
-            failed.append(frame_id)
-            raise
-
     results = {}
     skipped = []
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = {f: pool.submit(job, f) for f in frames}
-        try:
-            for f in frames:
-                try:
-                    results[f] = futures[f].result()
-                except TooFewValidSamples as e:
-                    skipped.append((f, str(e)))
-                if progress:
-                    progress(f, results.get(f))
-        except BaseException:
-            failed.append(-np.inf)
-            pool.shutdown(cancel_futures=True)
-            raise
+    context = (sequence, setup, spec, n, config, seed)
+    with workers.Pool(threads, len(frames), context) as pool:
+        todo, queue = iter(frames), deque()  # queue: (frame, future) not yet reported
+        while True:
+            while (sum(not fu.done() for _, fu in queue) < threads
+                   and not any(_faulted(fu) for _, fu in queue)):
+                f = next(todo, None)
+                if f is None:
+                    break
+                queue.append((f, pool.submit(_label, f)))
+            if not queue:
+                break
+            f, future = queue[0]
+            if not future.done():
+                wait([fu for _, fu in queue if not fu.done()], return_when=FIRST_COMPLETED)
+                continue
+            queue.popleft()
+            try:
+                results[f] = future.result()
+            except TooFewValidSamples as e:
+                skipped.append((f, str(e)))
+            if progress:
+                progress(f, results.get(f))
 
     records = [results[f] for f in frames if f in results]
     metadata = dataset_metadata(spec, n, setup, config, seed, extra_metadata)

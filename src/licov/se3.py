@@ -53,6 +53,9 @@ class SE3:
     def __setattr__(self, name, value):
         raise AttributeError("SE3 is immutable")
 
+    def __reduce__(self):
+        return _derived, (self.R, self.t)
+
     @staticmethod
     def identity() -> "SE3":
         return SE3(np.eye(3), np.zeros(3))

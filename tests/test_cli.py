@@ -49,23 +49,44 @@ def handcrafted_dataset(path, n_frames=4):
     write_dataset(path, {"source": "handcrafted"}, recs)
 
 
-def spy_map_builds(monkeypatch):
+def spy_map_builds(monkeypatch, log):
     """-> ([(frame, local map)], [cloud of each NeighborIndex]), filled as
-    build_local_map and NeighborIndex run."""
+    build_local_map and NeighborIndex run in this process. Each also
+    appends a line to `log`, which forked workers do as well (see
+    logged_map_builds)."""
     maps, indexed = [], []
     build, init = cloud.build_local_map, cloud.NeighborIndex.__init__
+
+    def record(*words):
+        with open(log, "a") as f:
+            f.write(" ".join(map(str, words)) + "\n")
 
     def build_spy(scans, poses, k, setup):
         local_map = build(scans, poses, k, setup)
         maps.append((k, local_map))
+        record("map", k, hashlib.sha256(local_map.points.tobytes()).hexdigest())
         return local_map
 
     def init_spy(self, c):
         indexed.append(c)
+        record("index", hashlib.sha256(c.points.tobytes()).hexdigest())
         init(self, c)
 
     monkeypatch.setattr(cloud, "build_local_map", build_spy)
     monkeypatch.setattr(cloud.NeighborIndex, "__init__", init_spy)
+    return maps, indexed
+
+
+def logged_map_builds(log):
+    """spy_map_builds' log -> ([(frame, digest of the map's points)],
+    [digest of the points of each NeighborIndex's cloud])."""
+    maps, indexed = [], []
+    for line in log.read_text().splitlines():
+        kind, *words = line.split()
+        if kind == "map":
+            maps.append((int(words[0]), words[1]))
+        else:
+            indexed.append(words[0])
     return maps, indexed
 
 
@@ -296,6 +317,28 @@ class TestDataErrors:
         assert capsys.readouterr().err == (
             "data error: frame 0: coordinates up to 1e+160 give voxel keys past the int64 "
             "range at voxel_size 1.0\n")
+        assert not (tmp_path / "ds.csv").exists()
+
+    def test_far_off_pose_names_the_frame(self, tmp_path, capsys):
+        # 1e15 m added to frame 1 keeps the voxel keys inside int64, but the
+        # grid of frame 0's map, which spans frames 0 and 1, has over
+        # 2**63 - 1 cells: the data's extent, not the voxel setting, is at fault
+        out = tmp_path / "kitti"
+        assert cli.main(["synth", "--set", "sequence.scene=plane", "--set", "sequence.density=1",
+                         "--set", "sequence.n_frames=3", "--set", f"paths.out_dir={out}"]) == 0
+        poses = out / "poses.txt"
+        rows = np.loadtxt(poses, ndmin=2)
+        rows[1, 3::4] += 1e15
+        np.savetxt(poses, rows, fmt="%.17g")
+        capsys.readouterr()
+        rc = cli.main(["generate", "--set", "sequence.kind=kitti",
+                       "--set", f"sequence.scan_dir={out / 'scans'}",
+                       "--set", f"sequence.pose_file={poses}",
+                       "--set", f"paths.dataset={tmp_path / 'ds.csv'}"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: frame 0: voxel_size 1.0 gives a grid of ")
+        assert err.endswith(" cells, over 2**63 - 1\n") and err.count("\n") == 1
         assert not (tmp_path / "ds.csv").exists()
 
     # one non-numeric value per field kind: (line, comma-separated column, text)
@@ -535,13 +578,15 @@ class TestGenerate:
                              "--set", "paths.dataset=ds.csv"]) == 0
             assert (rerun / "ds.csv").read_bytes() == (ws["root"] / "ds.csv").read_bytes()
 
-    def test_one_index_per_labelled_frame(self, ws, monkeypatch):
-        maps, indexed = spy_map_builds(monkeypatch)
+    def test_one_index_per_labelled_frame(self, ws, monkeypatch, tmp_path):
+        # the frames are labelled in forked workers: read what they logged
+        spy_map_builds(monkeypatch, tmp_path / "builds.log")
         monkeypatch.chdir(ws["root"])
         assert cli.main(["generate", *COMMON, *GENERATE, "--threads", "2",
                          "--set", "paths.dataset=ds_indexed.csv"]) == 0
+        maps, indexed = logged_map_builds(tmp_path / "builds.log")
         assert sorted(k for k, _ in maps) == [0, 1, 2, 3]
-        assert sorted(map(id, indexed)) == sorted(id(m) for _, m in maps)
+        assert sorted(indexed) == sorted(digest for _, digest in maps)
 
     def test_empty_frame_range(self, ws, monkeypatch, capsys):
         # a dataset of no records is one read_dataset refuses: none is written
@@ -676,8 +721,8 @@ class TestFuse:
         assert not (tmp_path / "missing.csv").exists() and not (tmp_path / "missing.txt").exists()
 
     @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_all_modes_build_each_map_once(self, ws, monkeypatch, threads):
-        maps, indexed = spy_map_builds(monkeypatch)
+    def test_all_modes_build_each_map_once(self, ws, monkeypatch, tmp_path, threads):
+        maps, indexed = spy_map_builds(monkeypatch, tmp_path / "builds.log")
         monkeypatch.chdir(ws["root"])
         assert cli.main(["fuse", *COMMON, "--threads", threads,
                          "--set", "paths.dataset=train_ds.csv", "--set", "paths.model=model.txt",
@@ -685,9 +730,10 @@ class TestFuse:
         if threads == "1":
             assert [k for k, _ in maps] == [1, 2, 3]
             assert indexed == [m for _, m in maps]
-        else:  # frames are prepared ahead, in any order
+        else:  # frames are prepared ahead, in any order, in forked workers
+            maps, indexed = logged_map_builds(tmp_path / "builds.log")
             assert sorted(k for k, _ in maps) == [1, 2, 3]
-            assert sorted(map(id, indexed)) == sorted(id(m) for _, m in maps)
+            assert sorted(indexed) == sorted(digest for _, digest in maps)
 
     # a missing input exits 2 before the output directory is made
     @pytest.mark.parametrize("mode", ["predicted_cov", "fixed_cov"])

@@ -1,6 +1,7 @@
 """Point-cloud I/O, voxel filtering, normals, neighbor search, local maps."""
 
 import gc
+import pickle
 import re
 import struct
 import warnings
@@ -141,9 +142,9 @@ class TestVoxelDownsample:
     def test_grid_over_int64_cells_rejected(self):
         nx, ny, nz = _MAX_GRID
         far = [nx - 0.5, ny - 0.5, nz + 0.5]  # one more z layer: 2**63 - 1 + nx * ny cells
-        with pytest.raises(ConfigError, match=r"cells, over 2\*\*63 - 1"):
+        with pytest.raises(DataError, match=r"cells, over 2\*\*63 - 1"):
             voxel_downsample(PointCloud([[0.5, 0.5, 0.5], far]), 1.0)
-        with pytest.raises(ConfigError, match=r"cells, over 2\*\*63 - 1"):
+        with pytest.raises(DataError, match=r"cells, over 2\*\*63 - 1"):
             voxel_downsample(PointCloud([[-1e7, 0.0, 0.0], [1e7, 1e7, 1e7]]), 1e-5)
 
     def test_keys_past_int64_are_a_data_error(self):
@@ -359,6 +360,18 @@ class TestNeighborIndex:
         assert np.array_equal(ids, np.argsort(brute, axis=1)[:, :2])
         assert np.array_equal(dists[:, 0], index.query_batch(queries)[0])
 
+    def test_pickle_round_trip_answers_alike(self):
+        # fuse ships prepared indexes to its worker processes
+        rng = np.random.default_rng(11)
+        index = NeighborIndex(estimate_normals(PointCloud(rng.normal(size=(300, 3))), 10))
+        copy = pickle.loads(pickle.dumps(index))
+        assert copy.cloud.points.tobytes() == index.cloud.points.tobytes()
+        assert copy.cloud.normals.tobytes() == index.cloud.normals.tobytes()
+        queries = rng.normal(size=(500, 3))
+        for k in (1, 2):
+            for a, b in zip(copy.query_batch(queries, k), index.query_batch(queries, k)):
+                assert a.tobytes() == b.tobytes()
+
     def test_empty_index_raises(self):
         index = NeighborIndex(PointCloud(np.zeros((0, 3))))
         with pytest.raises(DataError, match="query against an empty index"):
@@ -572,3 +585,16 @@ class TestPointCloudValidation:
             cloud.points[0, 0] = 9.0
         with pytest.raises(AttributeError):
             cloud.points = np.zeros((1, 3))
+
+    @pytest.mark.parametrize("normals", [None, [[0.0, 0.0, 1.0], [0.6, 0.8, 0.0]]])
+    def test_pickle_round_trip(self, normals):
+        cloud = PointCloud([[1.0, 2.0, 3.0], [0.1, -1e-300, 5e300]], normals)
+        copy = pickle.loads(pickle.dumps(cloud))
+        assert copy.points.tobytes() == cloud.points.tobytes()
+        assert (copy.normals is None) == (normals is None)
+        if normals is not None:
+            assert copy.normals.tobytes() == cloud.normals.tobytes()
+        with pytest.raises(ValueError):
+            copy.points[0, 0] = 9.0
+        with pytest.raises(AttributeError, match="immutable"):
+            copy.points = np.zeros((2, 3))

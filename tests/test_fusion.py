@@ -1,5 +1,6 @@
 """Tangent-space EKF steps, fusion modes, and trajectory metrics."""
 import re
+import time
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -365,9 +366,12 @@ class TestRunFusion:
 
 
 class TestThreads:
-    """run_fusion prepares two frames ahead of the one that aligns; the
-    first fault it raises does not depend on `threads` (the CLI chain tests
-    check that the poses do not either)."""
+    """run_fusion prepares at most two frames past its slowest mode, and
+    each mode is a chain of frames; the first fault it raises does not
+    depend on `threads` (the CLI chain tests check that the poses do not
+    either). The stubs know a frame by its filtered scan's bytes and log
+    each map preparation and align to a file, which forked workers append
+    to as well."""
 
     SETUP = FusionSetup(map=MapSetup(1, 1, map_voxel=0.4, scan_voxel=0.3), seed=3)
     KW = {"model": constant_model(3e-4 * np.eye(6)), "fixed_cov": 1e-4 * np.eye(6)}
@@ -376,55 +380,88 @@ class TestThreads:
     def room(self):
         return make_synthetic_scene("room", density=4, seed=7, n_frames=9)
 
-    def faulty_run(self, room, monkeypatch, threads, **faults):
-        """run_fusion over every frame of `room` whose align raises
-        NumericError at the listed (frame, mode) pairs, whose prediction
-        raises NumericError at predict_faults frames and whose map
-        preparation raises DataError at map_faults frames -> (exception,
-        frames started, [(frame aligned, frames started by then)])."""
+    def stubs(self, room, monkeypatch, tmp_path):
+        """Install stubs of map preparation, align and predict over every
+        frame of `room`, and learn the mode of every align from a
+        fault-free one-thread run -> (armed, slow, align, events). After the
+        learning run, align raises NumericError at armed["align_faults"]'s
+        (frame, mode) pairs and sleeps slow[mode] seconds; predict raises
+        NumericError at armed["predict_faults"] frames and map preparation
+        DataError at armed["map_faults"] frames. events() reads and clears
+        the log -> (frames started, [(frame aligned, frames started by
+        then)], [(event, frame, mode)] of every align start and end)."""
         frames = list(range(len(room)))
         armed = dict.fromkeys(("align_faults", "predict_faults", "map_faults"), ())
+        slow = {}
+        frame_of = {self.SETUP.map.scan(room, k).points.tobytes(): k for k in frames}
+        assert len(frame_of) == len(frames)
+        log = tmp_path / "events.log"
         # The aligns of a frame differ by mode only through their prior:
         # a fault-free one-thread run, whose aligns come in mode order,
         # names the mode of every prior. Each align moves its prior, so
         # the modes part after frame 1.
-        frame_of, modes_of = {}, {}
+        modes_of = {}
         prepare = MapSetup.frame
 
+        def record(*event):
+            with open(log, "a") as f:
+                f.write(" ".join(map(str, event)) + "\n")
+
         def frame(self, sequence, k):
-            started.append(k)
+            record("map", k)
             if k in armed["map_faults"]:
                 raise DataError(f"stub map fault at frame {k}")
-            scan, index = prepare(self, sequence, k)
-            frame_of[id(scan)] = frame_of[id(index)] = k
-            return scan, index
+            return prepare(self, sequence, k)
 
         def align(source, index, initial, cfg):
-            k = frame_of[id(index)]
-            seen.append((k, list(started)))
+            k = frame_of[source.points.tobytes()]
             key = (k, initial.R.tobytes(), initial.t.tobytes())
             if key not in modes_of:
                 modes_of[key] = MODES[sum(x[0] == k for x in modes_of)]
             mode = modes_of[key]
+            record("align", k, mode)
             if (k, mode) in armed["align_faults"]:
                 raise NumericError(f"stub align fault at frame {k}, {mode}")
+            time.sleep(slow.get(mode, 0.0))
+            record("aligned", k, mode)
             return SimpleNamespace(estimate=initial @ se3.exp(np.full(6, 1e-3)))
 
         def predict(model, scan, normal_k):
-            k = frame_of[id(scan)]
+            k = frame_of[scan.points.tobytes()]
             if k in armed["predict_faults"]:
                 raise NumericError(f"stub predict fault at frame {k}")
             return model_mod.predict(model, scan, normal_k)
 
+        def events():
+            started, seen, aligns = [], [], []
+            for line in log.read_text().splitlines():
+                event, k, *mode = line.split()
+                if event == "map":
+                    started.append(int(k))
+                else:
+                    aligns.append((event, int(k), *mode))
+                    if event == "align":
+                        seen.append((int(k), list(started)))
+            log.unlink()
+            return started, seen, aligns
+
         monkeypatch.setattr(MapSetup, "frame", frame)
         monkeypatch.setattr(fusion_mod, "predict", predict)
-        started, seen = [], []
         run_fusion(room, frames, self.SETUP, align=align, **self.KW)
         assert len(modes_of) == len(MODES) * (len(frames) - 1) - 2  # frame 1 is shared
+        events()
+        return armed, slow, align, events
+
+    def faulty_run(self, room, monkeypatch, tmp_path, threads, **faults):
+        """run_fusion over every frame of `room` with the stubs armed at
+        `faults` -> (exception, frames started, [(frame aligned, frames
+        started by then)])."""
+        armed, _, align, events = self.stubs(room, monkeypatch, tmp_path)
         armed.update(faults)
-        started, seen = [], []
         with pytest.raises(Exception) as info:
-            run_fusion(room, frames, self.SETUP, align=align, threads=threads, **self.KW)
+            run_fusion(room, range(len(room)), self.SETUP, align=align, threads=threads,
+                       **self.KW)
+        started, seen, _ = events()
         return info.value, started, seen
 
     @pytest.mark.parametrize("faults, error, message", [
@@ -437,11 +474,29 @@ class TestThreads:
          "stub map fault at frame 3"),
     ], ids=["align-mode-order", "align-before-predict", "predict-before-map", "map-before-align"])
     @pytest.mark.parametrize("threads", [1, 3])
-    def test_first_fault_is_the_serial_one(self, room, monkeypatch, threads, faults, error,
-                                           message):
-        e, started, seen = self.faulty_run(room, monkeypatch, threads, **faults)
+    def test_first_fault_is_the_serial_one(self, room, monkeypatch, tmp_path, threads, faults,
+                                           error, message):
+        e, started, seen = self.faulty_run(room, monkeypatch, tmp_path, threads, **faults)
         assert type(e) is error and str(e) == message
         # no frame past the current one plus two was started
         assert all(max(before) <= k + 2 for k, before in seen)
         current = max(k for k, _ in seen)
         assert max(started) <= current + 2 < len(room) - 1
+
+    def test_modes_run_ahead_of_a_slow_one(self, room, monkeypatch, tmp_path):
+        # predicted_cov's aligns are slow; icp_only starts its next frame
+        # before predicted_cov's align of the frame before has ended
+        _, slow, align, events = self.stubs(room, monkeypatch, tmp_path)
+        slow["predicted_cov"] = 0.3
+        fast = run_fusion(room, range(len(room)), self.SETUP, align=align, threads=3,
+                          **self.KW)
+        _, _, aligns = events()
+        ahead = [k for k in range(2, len(room) - 1)
+                 if aligns.index(("align", k + 1, "icp_only"))
+                 < aligns.index(("aligned", k, "predicted_cov"))]
+        assert ahead
+        slow.clear()
+        alone = run_fusion(room, range(len(room)), self.SETUP, align=align, **self.KW)
+        for mode in MODES:
+            assert [p.t.tobytes() for p in fast[mode].poses] == [
+                p.t.tobytes() for p in alone[mode].poses]

@@ -331,14 +331,18 @@ class TestGenerateDataset:
 
 
 class TestGenerateCancellation:
-    """A failing frame or an interrupt stops the frames not yet started."""
+    """A failing frame or an interrupt stops the frames not yet started.
+    Each frame's start is logged to a file, which forked workers append
+    to as well."""
 
     FRAMES = 12
 
-    def _generate(self, monkeypatch, tmp_path, started, threads=2, fail_frames=(),
-                  progress=None):
+    def _generate(self, monkeypatch, tmp_path, threads=2, fail_frames=(), progress=None):
+        log = tmp_path / "started.log"
+
         def fake_monte_carlo(*args, frame_id, **kwargs):
-            started.append(frame_id)
+            with open(log, "a") as f:
+                f.write(f"{frame_id}\n")
             if frame_id in fail_frames:
                 raise RuntimeError(f"frame {frame_id} failed")
             time.sleep(0.2)
@@ -351,17 +355,21 @@ class TestGenerateCancellation:
         generate_dataset(seq, range(self.FRAMES), PerturbationSpec(), 2, IcpConfig(), 0,
                          tmp_path / "d.csv", threads=threads, progress=progress)
 
+    @staticmethod
+    def _started(tmp_path):
+        return [int(line) for line in (tmp_path / "started.log").read_text().split()]
+
     @pytest.mark.parametrize("threads", [1, 2, 4])
     def test_frame_error_starts_at_most_threads_frames(self, monkeypatch, tmp_path, threads):
         # several frames fail at once, with frequent thread switches
-        started = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with pytest.raises(RuntimeError, match="frame 0 failed"):
-                self._generate(monkeypatch, tmp_path, started, threads, fail_frames={0, 1, 2})
+                self._generate(monkeypatch, tmp_path, threads, fail_frames={0, 1, 2})
         finally:
             sys.setswitchinterval(interval)
+        started = self._started(tmp_path)
         assert 0 in started and len(started) <= threads
         assert not (tmp_path / "d.csv").exists()
 
@@ -369,9 +377,8 @@ class TestGenerateCancellation:
         def progress(frame, record):
             raise KeyboardInterrupt
 
-        started = []
         with pytest.raises(KeyboardInterrupt):
-            self._generate(monkeypatch, tmp_path, started, progress=progress)
+            self._generate(monkeypatch, tmp_path, progress=progress)
         # frames 0 and 1 ran; at most one more per worker was already taken
-        assert len(started) <= 4
+        assert len(self._started(tmp_path)) <= 4
         assert not (tmp_path / "d.csv").exists()

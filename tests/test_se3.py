@@ -5,6 +5,8 @@ exponential series for exp, plain 4x4 homogeneous algebra for compose and
 inverse, and the conjugation identity for the adjoint.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -247,3 +249,14 @@ class TestValidation:
             t.t[0] = 1.0
         with pytest.raises(AttributeError):
             t.R = np.eye(3)
+
+    def test_pickle_round_trip(self):
+        t = random_pose(np.random.default_rng(19))
+        copy = pickle.loads(pickle.dumps(t))
+        assert copy.R.tobytes() == t.R.tobytes() and copy.t.tobytes() == t.t.tobytes()
+        with pytest.raises(ValueError):
+            copy.R[0, 0] = 2.0
+        with pytest.raises(ValueError):
+            copy.t[0] = 1.0
+        with pytest.raises(AttributeError, match="immutable"):
+            copy.t = np.zeros(3)
