@@ -5,11 +5,13 @@ prediction transports covariance by Ad(delta^-1) and the measurement
 model for a full-pose observation is identity. Modes compared by
 run_fusion, in one pass over the frames: raw ICP without filtering,
 filtering with one fixed measurement covariance, and filtering with
-per-frame predicted covariances.
+per-frame predicted covariances. Its serial loop is `for each frame:
+prepare (scan, map index, prediction); align and update each mode`; the
+preparation and each align are worker tasks, and the updates run in the
+caller's process.
 """
 from __future__ import annotations
 
-from concurrent.futures import FIRST_COMPLETED, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,13 +154,11 @@ def read_trajectory(path) -> Trajectory:
 
 
 def _prepare(context, k):
-    sequence, setup, _, _ = context
-    return setup.map.frame(sequence, k)
-
-
-def _predict(context, scan):
-    _, setup, model, _ = context
-    return predict(model, scan, setup.map.normal_k)
+    sequence, setup, model, _ = context
+    scan, index = setup.map.frame(sequence, k)
+    if "predicted_cov" not in setup.mode_names:
+        return scan, index, None
+    return scan, index, predict(model, scan, setup.map.normal_k)
 
 
 def _align(context, scan, index, prior):
@@ -186,17 +186,17 @@ def run_fusion(
     (source, index, initial, cfg -> object with .estimate); it is called
     once per frame and mode.
 
-    A frame's preparation, its prediction and each mode's align are tasks
-    on a workers.Pool of `threads` workers; the EKF steps run here. A
-    mode's state depends only on its own previous frame, so each mode is
-    a chain of frames: a mode whose align ends early starts its next frame
-    while another still aligns (with one worker, the modes move frame by
-    frame together). Frames are prepared at most two past the slowest
-    mode's, so at most three maps are held. The result does not depend on
-    `threads`. Faults keep the order of the loop `for each frame: map;
-    align of each mode`, with the prediction right after predicted_cov's
-    align: once one is seen nothing later in that order starts, every
-    earlier task finishes, and the earliest fault is raised.
+    A frame's preparation (scan, map index and, for predicted_cov, the
+    predicted covariance) and each mode's align are tasks on a
+    workers.Pool of `threads` workers; a mode's EKF update runs here as
+    soon as its align returns. A mode's state depends only on its own
+    previous frame, so each mode is a chain of frames: a mode whose align
+    ends early starts its next frame while another still aligns (with one
+    worker, the modes move frame by frame together). Frames are prepared
+    at most two past the slowest mode's, so at most three maps are held.
+    The result does not depend on `threads`, nor does the fault raised:
+    the first in the order of the loop `for each frame: prepare; align
+    and update each mode`.
     """
     modes = setup.mode_names
     if "predicted_cov" in modes and model is None:
@@ -219,109 +219,56 @@ def run_fusion(
         eta = rng.normal(0.0, 1.0, 6) * sig
         motions.append(MotionInput(delta_true @ se3.exp(eta), Q))
 
-    # A task's place in the frame-by-frame loop is (frame position, slot),
-    # and order[slot] names it.
-    order = ["map"]
-    for mode in modes:
-        order += [mode, "predict"] if mode == "predicted_cov" else [mode]
-    slot = {name: s for s, name in enumerate(order)}
-    update_slot = {mode: slot["predict" if mode == "predicted_cov" else mode] for mode in modes}
-
+    # A task's place in that loop is (frame position, 0) for the frame's
+    # preparation and (frame position, 1 + the mode's index) for an align.
     n = len(frames)
     start = FusionState(truths[0], setup.init_cov * np.eye(6))
     states = dict.fromkeys(modes, start)
     out = {mode: [start.pose] for mode in modes}
     at = dict.fromkeys(modes, 1)  # the position of the frame each mode aligns next
-    priors, measured = {}, {}     # mode -> predicted state / estimate of its frame
-    ready, covs = {}, {}          # position -> (scan, index) / predicted covariance
-    predicting = set()
-    tasks, faults = {}, []        # future -> place; [(place, error)]
+    priors, ready = {}, {}        # mode -> predicted state; position -> _prepare's result
     # how far a mode may align past the slowest one: one worker keeps the
     # call order of the frame-by-frame loop
     lead = 0 if threads == 1 else 2
-    mapped = 1
-
-    def allowed(place):
-        return not faults or place < min(p for p, _ in faults)
-
-    def fail(place, error):
-        faults.append((place, error))
-        for future, later in tasks.items():
-            if later > place:
-                future.cancel()
-
-    with workers.Pool(threads, n * len(order), (sequence, setup, model, align)) as pool:
-
-        def submit(place, fn, *args):
-            tasks[pool.submit(fn, *args)] = place
-
-        while True:
-            for mode in modes:  # EKF updates, in this process
-                i = at[mode]
-                place = (i, update_slot[mode])
-                if mode not in measured or (mode == "predicted_cov" and i not in covs):
-                    continue
-                if not allowed(place):
-                    continue
-                prior, estimate = priors[mode], measured[mode]
+    mapped = min(n, 4)
+    with workers.Pool(threads, len(modes) + 3, (sequence, setup, model, align)) as pool:
+        for i in range(1, mapped):
+            pool.submit((i, 0), _prepare, frames[i])
+        for (i, s), result in pool.results():
+            if s == 0:
+                ready[i] = result
+            else:
+                mode = modes[s - 1]
+                prior = priors.pop(mode)
                 try:
                     if mode == "icp_only":
-                        state = FusionState(estimate, prior.covariance)
+                        state = FusionState(result, prior.covariance)
                     else:
-                        R = fixed_cov if mode == "fixed_cov" else covs[i]
-                        state = ekf_update(prior, estimate, R)
+                        R = fixed_cov if mode == "fixed_cov" else ready[i][2]
+                        state = ekf_update(prior, result, R)
                 except Exception as e:
-                    fail(place, e)
+                    pool.fail((i, s), e)
                     continue
-                del priors[mode], measured[mode]
-                if mode == "predicted_cov":
-                    del covs[i]
                 states[mode] = state
                 out[mode].append(state.pose)
                 at[mode] = i + 1
             slowest = min(at.values())
-            for i in [i for i in ready if i < slowest]:
-                del ready[i]
-            while mapped < min(n, slowest + 3) and allowed((mapped, 0)):
-                submit((mapped, 0), _prepare, frames[mapped])
+            for j in [j for j in ready if j < slowest]:
+                del ready[j]
+            while mapped < min(n, slowest + 3):
+                pool.submit((mapped, 0), _prepare, frames[mapped])
                 mapped += 1
-            if "predicted_cov" in modes:
-                for i in range(slowest, min(n, slowest + lead + 1)):
-                    place = (i, slot["predict"])
-                    if i in ready and i not in predicting and allowed(place):
-                        predicting.add(i)
-                        submit(place, _predict, ready[i][0])
-            for mode in modes:
+            for s, mode in enumerate(modes, 1):
                 i = at[mode]
-                place = (i, slot[mode])
-                if mode in priors or i > slowest + lead or i not in ready or not allowed(place):
+                place = (i, s)
+                if mode in priors or i > slowest + lead or i not in ready or not pool.allows(place):
                     continue
                 try:
                     priors[mode] = ekf_predict(states[mode], motions[i])
                 except Exception as e:
-                    fail(place, e)
+                    pool.fail(place, e)
                     continue
-                submit(place, _align, *ready[i], priors[mode].pose)
-            if not tasks:
-                break
-            done, _ = wait(tasks, return_when=FIRST_COMPLETED)
-            for future in done:
-                i, s = place = tasks.pop(future)
-                if future.cancelled():
-                    continue
-                try:
-                    result = future.result()
-                except Exception as e:
-                    fail(place, e)
-                    continue
-                if order[s] == "map":
-                    ready[i] = result
-                elif order[s] == "predict":
-                    covs[i] = result
-                else:
-                    measured[order[s]] = result
-    if faults:
-        raise min(faults, key=lambda fault: fault[0])[1]
+                pool.submit(place, _align, *ready[i][:2], priors[mode].pose)
     return {mode: Trajectory(list(frames), poses) for mode, poses in out.items()}
 
 

@@ -12,9 +12,8 @@ floats with 17 significant digits. Lines starting with '#' are warnings.
 """
 from __future__ import annotations
 
-from collections import deque
-from concurrent.futures import FIRST_COMPLETED, wait
 from dataclasses import dataclass, fields
+from itertools import islice
 
 import numpy as np
 
@@ -272,19 +271,16 @@ def dataset_metadata(spec, n, setup, config, seed, extra=None):
     return md
 
 
-def _label(context, frame_id) -> CovRecord:
-    """Prepare one frame and label it: generate_dataset's task."""
+def _label(context, frame_id):
+    """Prepare one frame and label it: generate_dataset's task. A frame
+    whose samples nearly all diverge gives the reason it is skipped."""
     sequence, setup, spec, n, config, seed = context
     scan, index = setup.frame(sequence, frame_id)
-    return run_monte_carlo(scan, index, sequence.pose(frame_id), spec, n, config,
-                           seed=seed, frame_id=frame_id)
-
-
-def _faulted(future) -> bool:
-    """Done, with an error other than a skipped frame's."""
-    if not future.done() or future.exception() is None:
-        return False
-    return not isinstance(future.exception(), TooFewValidSamples)
+    try:
+        return run_monte_carlo(scan, index, sequence.pose(frame_id), spec, n, config,
+                               seed=seed, frame_id=frame_id)
+    except TooFewValidSamples as e:
+        return str(e)
 
 
 def generate_dataset(
@@ -303,40 +299,30 @@ def generate_dataset(
     """Label the requested frames and write the dataset file.
 
     Frames are labelled independently, at most `threads` at a time, on a
-    workers.Pool, and written in ascending frame order, so output bytes do
-    not depend on thread count. Frames whose samples nearly all diverge
-    are skipped with a '#' warning line instead of aborting the run. Any
-    other error is raised once every earlier frame has finished, and no
-    frame past it starts; an interrupt cancels the frames not yet started.
+    workers.Pool, reported to `progress` and written in ascending frame
+    order, so output bytes do not depend on thread count. Frames whose
+    samples nearly all diverge are skipped with a '#' warning line instead
+    of aborting the run. Any other error is raised once every earlier frame
+    has finished, and no frame past it starts; an interrupt cancels the
+    frames not yet started.
     """
     frames = sorted(set(int(f) for f in frames))
-    results = {}
-    skipped = []
-    context = (sequence, setup, spec, n, config, seed)
-    with workers.Pool(threads, len(frames), context) as pool:
-        todo, queue = iter(frames), deque()  # queue: (frame, future) not yet reported
-        while True:
-            while (sum(not fu.done() for _, fu in queue) < threads
-                   and not any(_faulted(fu) for _, fu in queue)):
-                f = next(todo, None)
-                if f is None:
-                    break
-                queue.append((f, pool.submit(_label, f)))
-            if not queue:
-                break
-            f, future = queue[0]
-            if not future.done():
-                wait([fu for _, fu in queue if not fu.done()], return_when=FIRST_COMPLETED)
-                continue
-            queue.popleft()
-            try:
-                results[f] = future.result()
-            except TooFewValidSamples as e:
-                skipped.append((f, str(e)))
-            if progress:
-                progress(f, results.get(f))
+    results, todo, reported = {}, iter(frames), 0
+    with workers.Pool(threads, len(frames), (sequence, setup, spec, n, config, seed)) as pool:
+        for f in islice(todo, threads):
+            pool.submit(f, _label, f)
+        for f, result in pool.results():
+            results[f] = result
+            for g in islice(todo, 1):  # one frame ended, the next starts
+                pool.submit(g, _label, g)
+            while reported < len(frames) and frames[reported] in results:
+                f = frames[reported]
+                if progress:
+                    progress(f, results[f] if isinstance(results[f], CovRecord) else None)
+                reported += 1
 
-    records = [results[f] for f in frames if f in results]
+    records = [results[f] for f in frames if isinstance(results[f], CovRecord)]
+    skipped = [(f, results[f]) for f in frames if isinstance(results[f], str)]
     metadata = dataset_metadata(spec, n, setup, config, seed, extra_metadata)
     write_dataset(out_path, metadata, records, skipped)
     return GenerateSummary(

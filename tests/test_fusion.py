@@ -6,6 +6,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from licov import fusion as fusion_mod
 from licov import model as model_mod
@@ -465,14 +467,14 @@ class TestThreads:
         return info.value, started, seen
 
     @pytest.mark.parametrize("faults, error, message", [
-        ({"align_faults": {(2, "fixed_cov"), (2, "predicted_cov")}, "predict_faults": {2},
-          "map_faults": {3}}, NumericError, "stub align fault at frame 2, fixed_cov"),
-        ({"align_faults": {(2, "predicted_cov")}, "predict_faults": {2}, "map_faults": {3}},
-         NumericError, "stub align fault at frame 2, predicted_cov"),
+        ({"align_faults": {(2, "fixed_cov"), (2, "predicted_cov")}, "map_faults": {3}},
+         NumericError, "stub align fault at frame 2, fixed_cov"),
+        ({"align_faults": {(2, "icp_only"), (2, "predicted_cov")}, "predict_faults": {2},
+          "map_faults": {3}}, NumericError, "stub predict fault at frame 2"),
         ({"predict_faults": {2}, "map_faults": {3}}, NumericError, "stub predict fault at frame 2"),
         ({"align_faults": {(3, "icp_only")}, "map_faults": {3}}, DataError,
          "stub map fault at frame 3"),
-    ], ids=["align-mode-order", "align-before-predict", "predict-before-map", "map-before-align"])
+    ], ids=["align-mode-order", "predict-before-align", "predict-before-map", "map-before-align"])
     @pytest.mark.parametrize("threads", [1, 3])
     def test_first_fault_is_the_serial_one(self, room, monkeypatch, tmp_path, threads, faults,
                                            error, message):
@@ -482,6 +484,41 @@ class TestThreads:
         assert all(max(before) <= k + 2 for k, before in seen)
         current = max(k for k, _ in seen)
         assert max(started) <= current + 2 < len(room) - 1
+
+    @pytest.fixture
+    def installed(self, room, monkeypatch, tmp_path):
+        return self.stubs(room, monkeypatch, tmp_path)
+
+    @settings(max_examples=20, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(map_faults=st.sets(st.integers(1, 8), max_size=2),
+           predict_faults=st.sets(st.integers(1, 8), max_size=2),
+           align_faults=st.sets(st.tuples(st.integers(2, 8), st.sampled_from(MODES)),
+                                max_size=4))
+    def test_any_faults_raise_the_serial_first(self, room, installed, map_faults,
+                                               predict_faults, align_faults):
+        # align faults start at frame 2, where the stubs tell the modes apart
+        armed, _, align, events = installed
+        armed.update(map_faults=map_faults, predict_faults=predict_faults,
+                     align_faults=align_faults)
+        serial = None
+        for k in reversed(range(1, len(room))):
+            for mode in reversed(MODES):
+                if (k, mode) in align_faults:
+                    serial = NumericError, f"stub align fault at frame {k}, {mode}"
+            if k in predict_faults:
+                serial = NumericError, f"stub predict fault at frame {k}"
+            if k in map_faults:
+                serial = DataError, f"stub map fault at frame {k}"
+        for threads in (1, 3):
+            try:
+                run_fusion(room, range(len(room)), self.SETUP, align=align, threads=threads,
+                           **self.KW)
+                raised = None
+            except Exception as e:
+                raised = type(e), str(e)
+            events()
+            assert raised == serial
 
     def test_modes_run_ahead_of_a_slow_one(self, room, monkeypatch, tmp_path):
         # predicted_cov's aligns are slow; icp_only starts its next frame

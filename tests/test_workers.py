@@ -1,5 +1,6 @@
-"""generate_dataset and run_fusion on forked worker processes: the bytes do
-not depend on the worker count, and no worker outlives its call."""
+"""workers.Pool keeps the serial loop's fault order; generate_dataset and
+run_fusion on forked worker processes: the bytes do not depend on the
+worker count, and no worker outlives its call."""
 import multiprocessing
 import os
 import signal
@@ -10,10 +11,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from licov import mcgen
+from licov import mcgen, workers
 from licov.cloud import MapSetup
-from licov.errors import NumericError
-from licov.fusion import FusionSetup, run_fusion
+from licov.errors import NoCorrespondences, NumericError
+from licov.fusion import MODES, FusionSetup, run_fusion
 from licov.icp import IcpConfig, icp_point_to_plane
 from licov.mcgen import PerturbationSpec, generate_dataset
 from licov.model import RegressionModel, cov_to_params
@@ -38,6 +39,58 @@ def log_pid(log):
 
 def pids(log):
     return set(map(int, log.read_text().split()))
+
+
+def task(log, place, seconds=0.0, fault=None):
+    """A pool task: logs its place to the context's file, sleeps, then
+    raises NumericError(fault) or returns its place."""
+    with open(log, "a") as f:
+        f.write(f"{place}\n")
+    time.sleep(seconds)
+    if fault:
+        raise NumericError(fault)
+    return place
+
+
+def started(log):
+    return [int(line) for line in log.read_text().split()]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+class TestPool:
+    def test_a_place_after_a_fault_is_refused(self, tmp_path, threads):
+        log = tmp_path / "started.log"
+        with pytest.raises(NumericError, match="caller's fault at 2"):
+            with workers.Pool(threads, 4, log) as pool:
+                pool.fail(2, NumericError("caller's fault at 2"))
+                assert pool.allows(1) and not pool.allows(2) and not pool.allows(3)
+                pool.submit(3, task, 3)
+                pool.submit(1, task, 1)
+                assert list(pool.results()) == [(1, 1)]
+        assert started(log) == [1]
+
+    def test_fail_cancels_the_queued_later_tasks(self, tmp_path, threads):
+        log = tmp_path / "started.log"
+        with pytest.raises(NumericError, match="caller's fault at 2"):
+            with workers.Pool(threads, 2, log) as pool:
+                for place in (0, 1):
+                    pool.submit(place, task, place, 0.3)
+                for place in range(3, 10):
+                    pool.submit(place, task, place)
+                pool.fail(2, NumericError("caller's fault at 2"))
+                assert sorted(pool.results()) == [(0, 0), (1, 1)]
+        # a process pool hands up to workers + 1 queued tasks to its workers
+        # ahead of time; those start, the others were cancelled
+        assert {0, 1} <= set(started(log)) <= {0, 1, 3, 4, 5}
+
+    def test_the_earliest_fault_is_raised(self, tmp_path, threads):
+        # place 2 fails at once, place 1 after 0.3 s
+        log = tmp_path / "started.log"
+        with pytest.raises(NumericError, match="slow fault at 1"):
+            with workers.Pool(threads, 2, log) as pool:
+                pool.submit(1, task, 1, 0.3, "slow fault at 1")
+                pool.submit(2, task, 2, 0.0, "fast fault at 2")
+                assert list(pool.results()) == []
 
 
 def generate(room, path, threads, progress=None):
@@ -83,6 +136,60 @@ def test_fusion_bytes_do_not_depend_on_workers(room, tmp_path, threads):
     assert runs[1] == runs[threads]
     assert pids(tmp_path / "1") == {os.getpid()}
     assert os.getpid() not in pids(tmp_path / str(threads))
+
+
+def test_skipped_frame_keeps_its_place(room, tmp_path, monkeypatch):
+    # every sample of frame 2 diverges; frame 4 faults in the second part
+    label = mcgen.run_monte_carlo
+    faults = set()
+
+    def labelled(*args, frame_id, **kwargs):
+        def align(source, index, initial, cfg):
+            if frame_id == 2:
+                raise NoCorrespondences("stub divergence")
+            return SimpleNamespace(estimate=initial)
+
+        if frame_id in faults:
+            raise NumericError(f"stub fault at frame {frame_id}")
+        return label(*args, frame_id=frame_id, align=align, **kwargs)
+
+    monkeypatch.setattr(mcgen, "run_monte_carlo", labelled)
+    reason = "frame 2: 0 of 6 samples valid, need at least 2"
+    for threads in (1, 2):
+        told = []
+        summary = generate(room, tmp_path / f"{threads}.csv", threads,
+                           lambda f, record: told.append((f, record is None)))
+        assert told == [(f, f == 2) for f in range(len(room))]
+        assert summary.skipped == [(2, reason)]
+    data = (tmp_path / "1.csv").read_bytes()
+    assert data == (tmp_path / "2.csv").read_bytes()
+    assert f"# frame 2 skipped: {reason}\n".encode() in data
+
+    faults.add(4)
+    for threads in (1, 2):
+        told = []
+        with pytest.raises(NumericError, match="stub fault at frame 4"):
+            generate(room, tmp_path / f"fault{threads}.csv", threads,
+                     lambda f, record: told.append((f, record is None)))
+        assert told == [(0, False), (1, False), (2, True), (3, False)]
+        assert not (tmp_path / f"fault{threads}.csv").exists()
+
+
+def test_fusion_forks_what_it_can_run_at_once(room, monkeypatch):
+    # at most three frames' preparations and one align per mode are in flight
+    sizes = []
+
+    class Spy(workers.ProcessPoolExecutor):
+        def __init__(self, max_workers, *args, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    def align(source, index, initial, cfg):
+        return SimpleNamespace(estimate=initial)
+
+    monkeypatch.setattr(workers, "ProcessPoolExecutor", Spy)
+    run_fusion(room, range(len(room)), SETUP, align=align, threads=8, **KW)
+    assert sizes == [len(MODES) + 3]
 
 
 def test_no_worker_outlives_generate(room, tmp_path, monkeypatch, capfd):
