@@ -62,12 +62,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         metavar="N",
         default=_usable_cpus(),
-        help="workers: generate and fuse fork up to N processes, each with its own scan "
-        "cache (generate labels N frames at once; fuse forks at most its modes plus three, "
-        "prepares each frame, with its prediction, as one task and each mode's align as "
-        "another, runs each mode as its own chain of frames and prepares at most two frames "
-        "past its slowest mode); train and eval prepare N records at once on threads; "
-        "outputs do not depend on it (default: usable CPUs)",
+        help="worker budget of generate, train, eval and fuse; outputs do not depend on it "
+        "(default: usable CPUs)",
     )
 
     parser = _Parser(prog="licov", description=__doc__)

@@ -112,9 +112,9 @@ def frame_selection(expr, key="frames"):
 
 
 def parse_frames(expr, length, key="frames") -> list:
-    """Frame selection: 'a:b' (half-open, clamped), 'all', or 'i,j,k'. One
-    that selects no frame, or lists one outside the sequence, is a
-    ConfigError naming `key`."""
+    """Frame selection: 'a:b' (half-open, clamped), 'all', or 'i,j,k', as
+    ascending frames, each once. One that selects no frame, or lists one
+    outside the sequence, is a ConfigError naming `key`."""
     frames = frame_selection(expr, key)
     if isinstance(frames, slice):
         hi = length if frames.stop is None else min(length, frames.stop)
@@ -124,4 +124,4 @@ def parse_frames(expr, length, key="frames") -> list:
             raise ConfigError(f"{key} lists frame {f}, outside a sequence of length {length}")
     if not frames:
         raise ConfigError(f"{key} {expr!r} selects no frame of a sequence of length {length}")
-    return frames
+    return sorted(set(frames))

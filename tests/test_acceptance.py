@@ -9,18 +9,16 @@ conditioning, analytic gradients, training sanity, fusion mode ordering,
 CLI determinism, and PSD safety under fuzzing.
 """
 import math
-import os
-import shutil
 import time
 from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 
-from licov import cli, se3
+from licov import se3
 from licov.cloud import MapSetup, NeighborIndex, PointCloud, build_local_map, voxel_downsample
+from licov.config import RunConfig
 from licov.fusion import (
-    FusionSetup,
     FusionState,
     MotionInput,
     Trajectory,
@@ -47,8 +45,9 @@ from licov.model import (
     train,
 )
 from licov.scenes import make_synthetic_scene
+from licov.sequences import parse_frames
 
-from conftest import random_pose, random_spd
+from conftest import RECIPE, random_pose, random_spd, run_room_chain
 
 
 def _report(num, ok, detail):
@@ -227,29 +226,24 @@ def test_acceptance_06_training_sanity():
 
 def test_acceptance_07_fusion_mode_ordering(tmp_path):
     t0 = time.perf_counter()
-    cor = make_synthetic_scene("corridor", seed=0)
-    frames = list(range(26))
-    # Wide sigma_x pushes draws past the corridor's convergence basin, so the
-    # labels of poorly constrained frames see the full out-of-basin scatter
+    # The recipe's wide sigma_x pushes draws past the corridor's convergence
+    # basin, so the labels of poorly constrained frames see the full scatter
     # while the tight y/z sigmas keep well-constrained labels clean.
-    spec = PerturbationSpec(1.0, 0.1, 0.1, 1.0, 1.0, 1.0)
-    summary = generate_dataset(cor, frames, spec, 40, IcpConfig(), 0,
-                               tmp_path / "labels.csv",
-                               setup=MapSetup(1, 1, map_voxel=1.0, scan_voxel=0.2))
+    cfg = RunConfig.load(RECIPE)
+    cor = cfg.sequence.open()
+    labelled = parse_frames(cfg.montecarlo.frames, len(cor))
+    summary = generate_dataset(cor, labelled, cfg.perturbation, cfg.montecarlo.n, cfg.icp,
+                               cfg.montecarlo.seed, tmp_path / "labels.csv", setup=cfg.map)
     recs = summary.records
-    samples = [(r, voxel_downsample(cor.scan(r.frame_id), 0.2)) for r in recs]
-    cfg = TrainConfig(learning_rate=1e-3, steps=25000, batch_size=16, seed=0,
-                      augment=False, init_sigma=0.03, label_floor=1e-4)
-    model, _ = train(samples, cfg, normal_k=10)
+    samples = [(r, cfg.map.scan(cor, r.frame_id)) for r in recs]
+    model, _ = train(samples, cfg.train, normal_k=cfg.map.normal_k)
     fixed = average_covariance(recs)
-
-    setup = FusionSetup(map=MapSetup(1, 1, map_voxel=1.0, scan_voxel=0.2),
-                        icp=IcpConfig(), motion_sigma_xyz=0.02)
+    frames = parse_frames(cfg.fusion.frames, len(cor))
     truth = Trajectory(frames, [cor.pose(k) for k in frames])
     modes = ("icp_only", "fixed_cov", "predicted_cov")
     ades = {m: [] for m in modes}
     for s in range(20):
-        trajs = run_fusion(cor, frames, replace(setup, seed=100 + s), model=model,
+        trajs = run_fusion(cor, frames, replace(cfg.fusion, seed=100 + s), model=model,
                            fixed_cov=fixed)
         for mode in modes:
             ades[mode].append(ade(trajs[mode], truth))
@@ -268,26 +262,6 @@ def test_acceptance_07_fusion_mode_ordering(tmp_path):
     assert ok
 
 
-_SCENE = [
-    "--set", "sequence.scene=room", "--set", "sequence.density=4",
-    "--set", "sequence.n_frames=4", "--set", "sequence.seed=11",
-    "--set", "map.window_before=1", "--set", "map.window_after=1",
-    "--set", "map.map_voxel=0.4", "--set", "map.scan_voxel=0.3",
-    "--set", "icp.max_iterations=8",
-]
-
-_GEN = [
-    "--set", "perturbation.sigma_x=0.1", "--set", "perturbation.sigma_y=0.1",
-    "--set", "perturbation.sigma_z=0.1", "--set", "perturbation.sigma_phi=2",
-    "--set", "perturbation.sigma_theta=2", "--set", "perturbation.sigma_psi=2",
-    "--set", "montecarlo.n=6", "--set", "montecarlo.seed=21",
-]
-
-_TRAIN = [
-    "--set", "train.steps=120", "--set", "train.batch_size=4",
-    "--set", "train.augment=false", "--set", "train.seed=5",
-]
-
 _ARTIFACTS = [
     "ds.csv", "model.txt", "model.loss", "fuse_out/fusion_table.csv",
     "fuse_out/trajectory_icp_only.txt", "fuse_out/trajectory_fixed_cov.txt",
@@ -295,46 +269,14 @@ _ARTIFACTS = [
 ]
 
 
-def _cli_pipeline(root, dataset_src, threads=None):
-    """generate/train/fuse with fixed settings inside `root`; returns bytes."""
-    root.mkdir()
-    shutil.copy(dataset_src, root / "train_ds.csv")
-    extra = [] if threads is None else ["--threads", str(threads)]
-    old = os.getcwd()
-    os.chdir(root)
-    try:
-        assert cli.main(["generate", *_SCENE, *_GEN, *extra,
-                         "--set", "paths.dataset=ds.csv"]) == 0
-        assert cli.main(["train", *_SCENE, *_TRAIN, *extra,
-                         "--set", "paths.dataset=train_ds.csv",
-                         "--set", "paths.model=model.txt"]) == 0
-        assert cli.main(["fuse", *_SCENE, *extra,
-                         "--set", "paths.dataset=train_ds.csv",
-                         "--set", "paths.model=model.txt",
-                         "--set", "paths.out_dir=fuse_out",
-                         "--set", "fusion.seed=3"]) == 0
-    finally:
-        os.chdir(old)
-    return {name: (root / name).read_bytes() for name in _ARTIFACTS}
-
-
 def test_acceptance_08_cli_determinism(tmp_path):
-    from licov.mcgen import write_dataset
-
-    rng = np.random.default_rng(9)
-    recs = []
-    for fid in range(4):
-        a = rng.normal(size=(6, 6)) * 0.3
-        recs.append(CovRecord(fid, 50, (a @ a.T + np.eye(6)) * 1e-2, 21, 0,
-                              np.zeros(6)))
-    src = tmp_path / "train_ds.csv"
-    write_dataset(src, {"source": "handcrafted"}, recs)
-
-    first = _cli_pipeline(tmp_path / "a", src, threads=1)
-    second = _cli_pipeline(tmp_path / "b", src)
-    third = _cli_pipeline(tmp_path / "c", src, threads=3)
-    differing = sorted(n for n in _ARTIFACTS
-                       if not (first[n] == second[n] == third[n]))
+    runs = []
+    for i, flags in enumerate((["--threads", "1"], [], ["--threads", "3"])):
+        root = tmp_path / str(i)
+        root.mkdir()
+        assert set(run_room_chain(root, *flags).values()) == {0}
+        runs.append({name: (root / name).read_bytes() for name in _ARTIFACTS})
+    differing = sorted(n for n in _ARTIFACTS if len({run[n] for run in runs}) > 1)
     ok = not differing
     _report(8, ok, f"{len(_ARTIFACTS)} artifacts byte-identical at --threads 1, "
                    f"the default and 3" + (f"; differing: {differing}" if differing else ""))

@@ -18,35 +18,7 @@ from licov.mcgen import CovRecord, read_dataset, write_dataset
 from licov.model import TrainConfig, load_model, params_to_cov, predict, train
 from licov.scenes import make_synthetic_scene
 
-COMMON = [
-    "--set", "sequence.scene=room", "--set", "sequence.density=4",
-    "--set", "sequence.n_frames=4", "--set", "sequence.seed=11",
-    "--set", "map.window_before=1", "--set", "map.window_after=1",
-    "--set", "map.map_voxel=0.4", "--set", "map.scan_voxel=0.3",
-    "--set", "icp.max_iterations=8",
-]
-
-GENERATE = [
-    "--set", "perturbation.sigma_x=0.1", "--set", "perturbation.sigma_y=0.1",
-    "--set", "perturbation.sigma_z=0.1", "--set", "perturbation.sigma_phi=2",
-    "--set", "perturbation.sigma_theta=2", "--set", "perturbation.sigma_psi=2",
-    "--set", "montecarlo.n=6", "--set", "montecarlo.seed=21",
-]
-
-TRAIN = [
-    "--set", "train.steps=120", "--set", "train.batch_size=4",
-    "--set", "train.augment=false", "--set", "train.seed=5",
-]
-
-
-def handcrafted_dataset(path, n_frames=4):
-    """Well-scaled labels for the room frames; keeps training fast."""
-    rng = np.random.default_rng(9)
-    recs = []
-    for fid in range(n_frames):
-        a = rng.normal(size=(6, 6)) * 0.3
-        recs.append(CovRecord(fid, 50, (a @ a.T + np.eye(6)) * 1e-2, 21, 0, np.zeros(6)))
-    write_dataset(path, {"source": "handcrafted"}, recs)
+from conftest import COMMON, GENERATE, TRAIN, handcrafted_dataset, run_room_chain
 
 
 def spy_map_builds(monkeypatch, log):
@@ -110,22 +82,7 @@ def assert_named_before_reading_data(tmp_path, capsys, command, key, value):
 def ws(tmp_path_factory):
     """Run the generate/train/eval/fuse chain once in a scratch directory."""
     root = tmp_path_factory.mktemp("cli")
-    old = os.getcwd()
-    os.chdir(root)
-    try:
-        rcs = {"generate": cli.main(["generate", *COMMON, *GENERATE,
-                                     "--set", "paths.dataset=ds.csv"])}
-        handcrafted_dataset("train_ds.csv")
-        chain = ["--set", "paths.dataset=train_ds.csv", "--set", "paths.model=model.txt"]
-        rcs["train"] = cli.main(["train", *COMMON, *chain, *TRAIN])
-        rcs["eval"] = cli.main(["eval", *COMMON, *chain,
-                                "--set", "paths.report=report.txt"])
-        rcs["fuse"] = cli.main(["fuse", *COMMON, *chain,
-                                "--set", "paths.out_dir=fuse_out",
-                                "--set", "fusion.seed=3"])
-    finally:
-        os.chdir(old)
-    return {"root": root, "rcs": rcs}
+    return {"root": root, "rcs": run_room_chain(root)}
 
 
 class TestExitCodes:
@@ -628,16 +585,9 @@ class TestTrainEval:
         assert a[:head] == b[:head]
 
     @pytest.mark.parametrize("threads", ["1", "2", "3"])
-    def test_thread_count_does_not_change_the_chain(self, ws, tmp_path, monkeypatch, threads):
-        # train, eval and fuse write the bytes ws wrote at the default count
-        shutil.copy(ws["root"] / "train_ds.csv", tmp_path)
-        monkeypatch.chdir(tmp_path)
-        chain = ["--threads", threads,
-                 "--set", "paths.dataset=train_ds.csv", "--set", "paths.model=model.txt"]
-        assert cli.main(["train", *COMMON, *chain, *TRAIN]) == 0
-        assert cli.main(["eval", *COMMON, *chain, "--set", "paths.report=report.txt"]) == 0
-        assert cli.main(["fuse", *COMMON, *chain,
-                         "--set", "paths.out_dir=fuse_out", "--set", "fusion.seed=3"]) == 0
+    def test_thread_count_does_not_change_the_chain(self, ws, tmp_path, threads):
+        # the chain writes the bytes ws wrote at the default count
+        assert set(run_room_chain(tmp_path, "--threads", threads).values()) == {0}
         names = ["model.txt", "model.loss", "report.txt", "fuse_out/fusion_table.csv",
                  *(f"fuse_out/trajectory_{m}.txt" for m in ("icp_only", "fixed_cov",
                                                             "predicted_cov"))]
@@ -719,6 +669,13 @@ class TestFuse:
         assert (tmp_path / "trajectory_icp_only.txt").exists()
         assert not (tmp_path / "trajectory_fixed_cov.txt").exists()
         assert not (tmp_path / "missing.csv").exists() and not (tmp_path / "missing.txt").exists()
+
+    @pytest.mark.parametrize("frames", ["3,1", "1,1,3"])
+    def test_frames_are_tracked_ascending_and_once(self, tmp_path, frames):
+        assert cli.main(["fuse", *COMMON, "--set", "fusion.modes=icp_only",
+                         "--set", f"fusion.frames={frames}",
+                         "--set", f"paths.out_dir={tmp_path}"]) == 0
+        assert read_trajectory(tmp_path / "trajectory_icp_only.txt").frame_ids == [1, 3]
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_all_modes_build_each_map_once(self, ws, monkeypatch, tmp_path, threads):

@@ -557,6 +557,7 @@ class TestSequences:
         assert parse_frames("5:100", 8) == [5, 6, 7]
         assert parse_frames(":2", 8) == [0, 1]
         assert parse_frames("0,2,5", 6) == [0, 2, 5]
+        assert parse_frames("3,1,3", 6) == [1, 3]
         with pytest.raises(ValueError):
             parse_frames("0,9", 6)
 

@@ -1,4 +1,5 @@
 """Run configuration: the CLI's defaults are the library's defaults."""
+import ast
 import re
 from pathlib import Path
 
@@ -12,6 +13,8 @@ from licov.icp import IcpConfig
 from licov.mcgen import MonteCarloSpec, PerturbationSpec
 from licov.model import TrainConfig
 from licov.scenes import SequenceSpec
+
+from conftest import RECIPE
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -99,3 +102,15 @@ def test_readme_reference_names_every_key():
     for section, keys in SCHEMA.items():
         missing = [key for key in keys if f"`{key}`" not in bullets[section]]
         assert not missing, f"README's [{section}] bullet lacks {missing}"
+
+
+def test_benchmark_overrides_restate_the_committed_recipe():
+    # benchmarks/run.py still spells the recipe out as --set lists. Their
+    # assignments are run alone: importing the module needs its siblings.
+    names = {}
+    for node in ast.parse((README.parent / "benchmarks" / "run.py").read_text()).body:
+        target = getattr(node, "targets", [None])[0]
+        if getattr(target, "id", None) in ("BATCH_SIZE", "CORRIDOR", "PERTURBATION", "TRAINING"):
+            exec(compile(ast.Module([node], []), "run.py", "exec"), names)
+    overrides = names["CORRIDOR"] + names["PERTURBATION"] + names["TRAINING"]
+    assert RunConfig.load(RECIPE, overrides).echo() == RunConfig.load(RECIPE).echo()
