@@ -11,6 +11,7 @@ configs/corridor.ini.
 
 Run: python3 demos/05_fusion_comparison.py  (about 2 minutes)
 """
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -27,10 +28,10 @@ corridor = cfg.sequence.open()
 labelled = parse_frames(cfg.montecarlo.frames, len(corridor))
 
 print(f"generating Monte-Carlo labels ({len(labelled)} frames x {cfg.montecarlo.n} draws)...")
-summary = generate_dataset(corridor, labelled, cfg.perturbation, cfg.montecarlo.n, cfg.icp,
-                           cfg.montecarlo.seed,
-                           "/tmp/corridor_labels.csv",
-                           setup=cfg.map)
+with tempfile.TemporaryDirectory() as tmp:  # the labels file is this run's alone
+    summary = generate_dataset(corridor, labelled, cfg.perturbation, cfg.montecarlo.n, cfg.icp,
+                               cfg.montecarlo.seed, Path(tmp) / "corridor_labels.csv",
+                               setup=cfg.map)
 recs = summary.records
 print(f"  {len(recs)} records, {summary.total_diverged} diverged draws")
 xx = np.array([r.covariance[0, 0] for r in recs])

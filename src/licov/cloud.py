@@ -7,6 +7,7 @@ homogeneous pose matrix, applied as-is.
 """
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,13 +78,13 @@ class MapSetup:
         return voxel_downsample(sequence.scan(k), self.scan_voxel)
 
     def frame(self, sequence, k):
-        """-> (filtered scan, NeighborIndex over the local map) of frame k;
-        a map too small to carry normals is a DataError."""
-        local_map = build_local_map(sequence.scans, sequence.poses, k, self)
-        if local_map.normals is None:
-            raise DataError(f"frame {k}: local map has {len(local_map)} points, "
+        """-> (filtered scan, build_local_map's index) of frame k; a map too
+        small to carry normals is a DataError."""
+        index = build_local_map(sequence.scans, sequence.poses, k, self)
+        if index.cloud.normals is None:
+            raise DataError(f"frame {k}: local map has {len(index)} points, "
                             "too few for normals (need 4)")
-        return self.scan(sequence, k), NeighborIndex(local_map)
+        return self.scan(sequence, k), index
 
 
 def load_kitti_scan(path) -> PointCloud:
@@ -187,38 +188,11 @@ def estimate_normals(cloud: PointCloud, k: int = 10) -> PointCloud:
     coordinate origin, where the sensor sits for raw scans). Neighbourhoods
     so wide that their scatter overflows raise DataError.
     """
-    if k < 3:
-        raise ValueError("k must be at least 3")
-    pts = cloud.points
-    n = pts.shape[0]
-    if n < k + 1:
-        raise DataError(f"need at least {k + 1} points, have {n}")
-    # nested, so that each step's arrays are freed before the next one runs
-    with np.errstate(over="ignore", invalid="ignore"):
-        normals = _smallest_eigenvectors(*_scatter_entries(pts, _knn_in_tree_order(pts, k + 1)))
-    if not np.isfinite(normals).all():
-        raise _scatter_overflow(pts)
-    normals[np.einsum("ij,ij->i", normals, pts) > 0.0] *= -1.0
-    return PointCloud(pts, normals)
+    return NeighborIndex(cloud).with_normals(k).cloud
 
 
 def _scatter_overflow(pts) -> DataError:
     return DataError(f"coordinates up to {np.abs(pts).max():.3g} overflow the normals' scatter")
-
-
-def _knn_in_tree_order(pts, k) -> np.ndarray:
-    """(n, k) ids of each point's k nearest points, as
-    cKDTree(pts).query(pts, k) gives them. The queries run in the tree's
-    leaf order, where consecutive ones walk the same nodes; each query is
-    independent, so the ids do not change. A neighbour whose distance
-    overflows comes back as id n, missing, which raises DataError."""
-    tree = cKDTree(pts)
-    order = tree.indices
-    ids = np.empty((len(pts), k), dtype=np.intp)
-    ids[order] = tree.query(pts[order], k=k)[1]
-    if ids[:, -1].max() == len(pts):
-        raise _scatter_overflow(pts)
-    return ids
 
 
 def _scatter_entries(pts, idx) -> tuple:
@@ -326,16 +300,38 @@ class NeighborIndex:
             raise DataError("nearest-neighbor query against an empty index")
         return self._tree.query(np.asarray(queries, dtype=float), k=k)
 
+    def with_normals(self, k: int) -> NeighborIndex:
+        """This index, sharing its tree, over the cloud with the normals of
+        estimate_normals(cloud, k). A neighbour whose distance overflows
+        comes back from the tree as id n, missing, which raises DataError."""
+        if k < 3:
+            raise ValueError("k must be at least 3")
+        pts = self.cloud.points
+        if len(pts) < k + 1:
+            raise DataError(f"need at least {k + 1} points, have {len(pts)}")
+        ids = self._tree.query(pts, k=k + 1)[1]
+        if ids[:, -1].max() == len(pts):
+            raise _scatter_overflow(pts)
+        # nested, so that the scatter's arrays are freed before the next step runs
+        with np.errstate(over="ignore", invalid="ignore"):
+            normals = _smallest_eigenvectors(*_scatter_entries(pts, ids))
+        if not np.isfinite(normals).all():
+            raise _scatter_overflow(pts)
+        normals[np.einsum("ij,ij->i", normals, pts) > 0.0] *= -1.0
+        index = copy.copy(self)
+        index.cloud = PointCloud(pts, normals)
+        return index
 
-def build_local_map(scans, poses, k: int, setup: MapSetup) -> PointCloud:
+
+def build_local_map(scans, poses, k: int, setup: MapSetup) -> NeighborIndex:
     """Merge a window of scans around frame k into one normal-equipped map.
 
     Frames k-window_before .. k+window_after are clamped to the sequence
     bounds, each scan is moved into the shared frame by its pose, the union
-    is voxel filtered at map_voxel, and normals are estimated on the result.
-    Maps too small to define a neighborhood (under 4 points) come back
-    without normals; between 4 points and normal_k the neighborhood shrinks
-    to the whole map.
+    is voxel filtered at map_voxel, and the result's NeighborIndex is
+    returned, with normals from its own tree. Maps too small to define a
+    neighborhood (under 4 points) come back without normals; between 4
+    points and normal_k the neighborhood shrinks to the whole map.
     """
     n = len(scans)
     if n == 0:
@@ -354,8 +350,9 @@ def build_local_map(scans, poses, k: int, setup: MapSetup) -> PointCloud:
         reduced = voxel_downsample(merged, setup.map_voxel)
         if len(reduced) == 0:
             raise DataError("local map is empty after voxel filtering")
+        index = NeighborIndex(reduced)
         if len(reduced) < 4:
-            return reduced
-        return estimate_normals(reduced, k=min(setup.normal_k, len(reduced) - 1))
+            return index
+        return index.with_normals(min(setup.normal_k, len(reduced) - 1))
     except DataError as e:
         raise DataError(f"frame {k}: {e}") from None

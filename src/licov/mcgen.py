@@ -218,7 +218,9 @@ def read_dataset(path):
     metadata = {}
     if lines[1]:
         for pair in lines[1].split(","):
-            key, _, value = pair.partition("=")
+            key, eq, value = pair.partition("=")
+            if not eq:
+                raise DataError(f"{path}:2: metadata item {pair!r} is not key=value")
             metadata[key] = value
     with at_line(path, 2):
         seed = int(metadata.get("seed", 0))

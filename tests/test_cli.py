@@ -34,10 +34,10 @@ def spy_map_builds(monkeypatch, log):
             f.write(" ".join(map(str, words)) + "\n")
 
     def build_spy(scans, poses, k, setup):
-        local_map = build(scans, poses, k, setup)
-        maps.append((k, local_map))
-        record("map", k, hashlib.sha256(local_map.points.tobytes()).hexdigest())
-        return local_map
+        index = build(scans, poses, k, setup)
+        maps.append((k, index.cloud))
+        record("map", k, hashlib.sha256(index.cloud.points.tobytes()).hexdigest())
+        return index
 
     def init_spy(self, c):
         indexed.append(c)
@@ -362,6 +362,25 @@ class TestDataErrors:
         path.write_text("\n".join(lines) + "\n")
         return ["train", *COMMON, *TRAIN, "--set", f"paths.dataset={path}"], f"{path}:4: "
 
+    def _no_metadata_line(self, tmp, ws, _):
+        # line 2 then holds the first record, which is no key=value list
+        path = tmp / "ds.csv"
+        lines = (ws["root"] / "ds.csv").read_text().splitlines()
+        path.write_text("\n".join(lines[:1] + lines[2:]) + "\n")
+        return ["train", *COMMON, *TRAIN, "--set", f"paths.dataset={path}"], f"{path}:2: "
+
+    def _bad_scan(self, tmp, ws, corrupt):
+        out = tmp / "kitti"
+        assert cli.main(["synth", "--set", "sequence.scene=plane", "--set", "sequence.density=1",
+                         "--set", "sequence.n_frames=2", "--set", f"paths.out_dir={out}"]) == 0
+        scan = out / "scans" / "000000.bin"
+        scan.write_bytes(corrupt(scan.read_bytes()))
+        argv = ["generate", "--set", "sequence.kind=kitti",
+                "--set", f"sequence.scan_dir={out / 'scans'}",
+                "--set", f"sequence.pose_file={out / 'poses.txt'}",
+                "--set", f"paths.dataset={tmp / 'ds.csv'}"]
+        return argv, f"{scan}: "
+
     # one corrupted input per reader: exit 2, one line naming the file
     @pytest.mark.parametrize("corrupt, arg", [
         ("_bad_poses", "abc"),
@@ -376,12 +395,16 @@ class TestDataErrors:
         ("_edit_model", ("w2", " ".join(["0"] * 99 + ["-inf"] + ["0"] * 1244))),
         ("_edit_model", ("feat_scale", " ".join(["1"] * 31 + ["0"]))),
         ("_edit_model", ("feat_scale", " ".join(["-2"] + ["1"] * 31))),
+        ("_no_metadata_line", None),
+        ("_bad_scan", lambda raw: raw + b"\0" * 5),
+        ("_bad_scan", lambda raw: np.float32(np.nan).tobytes() + raw[4:]),
     ], ids=["pose_non_numeric", "pose_not_a_rotation",
             "model_cut_after_line_2", "model_cut_after_line_6",
             "dataset_nan_covariance", "dataset_inf_covariance",
             "model_non_numeric_weight", "model_wrong_length_vector",
             "model_nan_weight", "model_inf_weight", "model_zero_feat_scale",
-            "model_negative_feat_scale"])
+            "model_negative_feat_scale", "dataset_without_metadata_line",
+            "scan_size_not_a_multiple_of_16", "scan_nan_coordinate"])
     def test_corrupt_input_is_a_data_error(self, ws, tmp_path, capsys, corrupt, arg):
         argv, where = getattr(self, corrupt)(tmp_path, ws, arg)
         capsys.readouterr()
@@ -684,13 +707,20 @@ class TestFuse:
         assert cli.main(["fuse", *COMMON, "--threads", threads,
                          "--set", "paths.dataset=train_ds.csv", "--set", "paths.model=model.txt",
                          "--set", "paths.out_dir=fuse_once", "--set", "fusion.seed=3"]) == 0
+
+        def digest(c):
+            return hashlib.sha256(c.points.tobytes()).hexdigest()
+
         if threads == "1":
             assert [k for k, _ in maps] == [1, 2, 3]
-            assert indexed == [m for _, m in maps]
+            maps, indexed = [(k, digest(m)) for k, m in maps], [digest(c) for c in indexed]
         else:  # frames are prepared ahead, in any order, in forked workers
             maps, indexed = logged_map_builds(tmp_path / "builds.log")
             assert sorted(k for k, _ in maps) == [1, 2, 3]
-            assert sorted(indexed) == sorted(digest for _, digest in maps)
+        # one index per map, and one per scan for predicted_cov's normals
+        seq = make_synthetic_scene("room", density=4, n_frames=4, seed=11)
+        scans = [digest(voxel_downsample(seq.scan(k), 0.3)) for k in (1, 2, 3)]
+        assert sorted(indexed) == sorted([d for _, d in maps] + scans)
 
     # a missing input exits 2 before the output directory is made
     @pytest.mark.parametrize("mode", ["predicted_cov", "fixed_cov"])

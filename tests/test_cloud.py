@@ -306,11 +306,6 @@ class TestNormals:
             out = estimate_normals(PointCloud(pts), k=5)
         assert np.allclose(np.linalg.norm(out.normals, axis=1), 1.0, rtol=0, atol=1e-12)
 
-    def test_tree_order_query_matches_plain_query(self, corridor_scans):
-        for pts in corridor_scans:
-            assert np.array_equal(cloud._knn_in_tree_order(pts, 11),
-                                  cKDTree(pts).query(pts, k=11)[1])
-
     def test_scan_normals_and_features_match_eigh(self, corridor_scans):
         for pts in corridor_scans:
             ref = reference_normals(pts, 10)
@@ -418,7 +413,7 @@ class TestLocalMap:
     def test_two_scans_merge_to_one_voxel(self):
         scans = [PointCloud([[0.1, 0, 0]]), PointCloud([[0.2, 0, 0]])]
         poses = [se3.SE3.identity(), se3.exp([0.5, 0, 0, 0, 0, 0])]
-        out = build_local_map(scans, poses, 0, MapSetup(5, 5, map_voxel=10.0))
+        out = build_local_map(scans, poses, 0, MapSetup(5, 5, map_voxel=10.0)).cloud
         # centroid of (0.1, 0, 0) and (0.7, 0, 0)
         assert np.allclose(out.points, [[0.4, 0, 0]])
         assert out.normals is None
@@ -426,29 +421,27 @@ class TestLocalMap:
     def test_window_clamped_to_sequence(self):
         scans = [PointCloud([[float(i), 0, 0]]) for i in range(100)]
         poses = [se3.SE3.identity()] * 100
-        out = build_local_map(scans, poses, 5, MapSetup(20, 10, map_voxel=1e-3))
+        out = build_local_map(scans, poses, 5, MapSetup(20, 10, map_voxel=1e-3)).cloud
         xs = np.sort(out.points[:, 0])
         assert np.array_equal(xs, np.arange(16.0))
 
     def test_scans_moved_by_poses(self):
         scans = [PointCloud([[0, 0, 0]]), PointCloud([[0, 0, 0]])]
         poses = [se3.SE3.identity(), se3.exp([4.0, 0, 0, 0, 0, 0])]
-        out = build_local_map(scans, poses, 0, MapSetup(0, 1, map_voxel=0.5))
+        out = build_local_map(scans, poses, 0, MapSetup(0, 1, map_voxel=0.5)).cloud
         xs = np.sort(out.points[:, 0])
         assert np.allclose(xs, [0.0, 4.0])
 
     def test_normals_present_on_big_maps(self, room_sequence):
         seq = room_sequence
-        out = build_local_map(
-            seq.scans, seq.poses, 0, MapSetup(2, 2, map_voxel=0.2)
-        )
+        out = build_local_map(seq.scans, seq.poses, 0, MapSetup(2, 2, map_voxel=0.2)).cloud
         assert out.normals is not None
         assert len(out) > 100
 
     def test_window_zero_is_single_frame(self):
         scans = [PointCloud([[float(i), 0, 0]]) for i in range(3)]
         poses = [se3.SE3.identity()] * 3
-        out = build_local_map(scans, poses, 1, MapSetup(0, 0, map_voxel=1e-3))
+        out = build_local_map(scans, poses, 1, MapSetup(0, 0, map_voxel=1e-3)).cloud
         assert np.allclose(out.points, [[1.0, 0, 0]])
 
     def test_empty_sequence(self):
@@ -493,6 +486,18 @@ class TestMapSetup:
         expected = estimate_normals(voxel_downsample(PointCloud(merged), 0.4), k=6)
         assert np.array_equal(local_map.points, expected.points)
         assert np.array_equal(local_map.normals, expected.normals)
+
+    def test_frame_builds_one_tree(self, room_sequence, monkeypatch):
+        # the map's normals and its nearest-neighbour queries share one tree
+        built = []
+
+        def counting_tree(*args, **kwargs):
+            built.append(args[0])
+            return cKDTree(*args, **kwargs)
+
+        monkeypatch.setattr(cloud, "cKDTree", counting_tree)
+        MapSetup(1, 1, map_voxel=0.4, scan_voxel=0.3).frame(room_sequence, 1)
+        assert len(built) == 1
 
 
 class TestSequences:

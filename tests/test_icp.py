@@ -72,7 +72,7 @@ def result_bytes(res: IcpResult):
 @pytest.fixture(scope="module")
 def room_map(room_sequence):
     seq = room_sequence
-    return build_local_map(seq.scans, seq.poses, 0, MapSetup(1, 1, map_voxel=0.2))
+    return build_local_map(seq.scans, seq.poses, 0, MapSetup(1, 1, map_voxel=0.2)).cloud
 
 
 def plane_grid(nx=21, ny=21, spacing=0.2):

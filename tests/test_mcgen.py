@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from licov import cloud, mcgen, se3
-from licov.cloud import MapSetup, PointCloud
+from licov.cloud import MapSetup, NeighborIndex, PointCloud
 from licov.errors import DataError, NoCorrespondences, TooFewValidSamples
 from licov.icp import IcpConfig
 from licov.mcgen import (
@@ -348,8 +348,8 @@ class TestGenerateCancellation:
             time.sleep(0.2)
             return CovRecord(frame_id, 2, 1e-4 * np.eye(6), 0, 0, np.zeros(6))
 
-        local_map = PointCloud(DUMMY.points, [[0.0, 0.0, 1.0]])  # MapSetup.frame needs normals
-        monkeypatch.setattr(cloud, "build_local_map", lambda *args: local_map)
+        index = NeighborIndex(PointCloud(DUMMY.points, [[0.0, 0.0, 1.0]]))  # frame needs normals
+        monkeypatch.setattr(cloud, "build_local_map", lambda *args: index)
         monkeypatch.setattr(mcgen, "run_monte_carlo", fake_monte_carlo)
         seq = InMemorySequence([DUMMY] * self.FRAMES, [IDENT] * self.FRAMES)
         generate_dataset(seq, range(self.FRAMES), PerturbationSpec(), 2, IcpConfig(), 0,
